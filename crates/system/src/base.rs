@@ -10,13 +10,14 @@
 //! and value lines, then issue gathers at the VLSU's indexed-load rate,
 //! then accumulate.
 
-use nmpic_mem::{BackendConfig, ChannelPort, Memory, WideRequest, BLOCK_BYTES};
+use nmpic_mem::{Cache, CacheConfig, ChannelPort, WideRequest, BLOCK_BYTES};
 use nmpic_sparse::Csr;
 
-use crate::report::{bits_equal, golden_x, SpmvReport};
-use nmpic_mem::{Cache, CacheConfig};
+use crate::IterReport;
 
-/// Configuration of the baseline system.
+/// Configuration of the baseline system (set through
+/// [`crate::SpmvEngineBuilder::base_config`]; the memory backend is the
+/// engine's).
 #[derive(Debug, Clone)]
 pub struct BaseConfig {
     /// LLC geometry (paper: 1 MiB, 8-way, 64 B lines).
@@ -39,8 +40,6 @@ pub struct BaseConfig {
     /// Fixed cycles per matrix row for the coupled scalar work: row
     /// pointer reads, `vsetvl`, and the row reduction.
     pub row_overhead_cycles: u64,
-    /// Memory backend (defaults to the paper's single HBM2 channel).
-    pub backend: BackendConfig,
 }
 
 impl Default for BaseConfig {
@@ -54,7 +53,6 @@ impl Default for BaseConfig {
             chunk: 32,
             macs_per_cycle: 16,
             row_overhead_cycles: 16,
-            backend: BackendConfig::hbm(),
         }
     }
 }
@@ -69,83 +67,14 @@ enum GatherState {
     Done,
 }
 
-/// Runs naive CSR SpMV on the baseline system and reports Fig. 5 metrics.
-///
-/// The returned report's `verified` reflects a golden-model check of the
-/// result vector (the baseline datapath is exact by construction; the
-/// check guards the harness plumbing).
-///
-/// # Panics
-///
-/// Panics if the simulation exceeds its internal cycle budget (model
-/// deadlock) or the matrix is empty.
-///
-/// # Example
-///
-/// ```
-/// use nmpic_sparse::gen::banded_fem;
-/// # #[allow(deprecated)]
-/// use nmpic_system::{run_base_spmv, BaseConfig};
-/// let m = banded_fem(256, 6, 16, 1);
-/// # #[allow(deprecated)]
-/// let r = run_base_spmv(&m, &BaseConfig::default());
-/// assert!(r.verified);
-/// assert!(r.cycles > 0);
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "build a session instead: `SpmvEngine::builder().backend(..).system(SystemKind::Base)\
-            .build().prepare(csr).run(&x)` (see README § Engine API)"
-)]
-pub fn run_base_spmv(csr: &Csr, cfg: &BaseConfig) -> SpmvReport {
-    let mut chan = cfg.backend.build(Memory::new(base_memory_size(csr)));
-    #[allow(deprecated)]
-    run_base_spmv_on(&mut *chan, csr, cfg)
-}
-
-/// Memory footprint needed by [`run_base_spmv_on`] for a matrix (all five
-/// arrays plus slack), rounded to a power of two.
-pub fn base_memory_size(csr: &Csr) -> usize {
+/// Memory footprint of a baseline plan's image (all five arrays plus
+/// slack), rounded to a power of two.
+pub(crate) fn base_memory_size(csr: &Csr) -> usize {
     let need = 4 * (csr.rows() as u64 + 1)
         + 12 * csr.nnz() as u64
         + 8 * (csr.cols() + csr.rows()) as u64
         + 8192;
     (need.next_multiple_of(BLOCK_BYTES as u64) as usize).next_power_of_two()
-}
-
-/// Generic-backend variant of [`run_base_spmv`]: runs the baseline system
-/// against any [`ChannelPort`] built by [`nmpic_mem::build_backend`]. The
-/// channel's backing memory must be at least [`base_memory_size`] bytes
-/// and is laid out by this function.
-///
-/// # Panics
-///
-/// Panics on an empty matrix, an undersized channel memory, or a
-/// cycle-budget overrun (model deadlock).
-#[deprecated(
-    since = "0.2.0",
-    note = "build a session instead: `SpmvEngine::builder().backend(..).system(SystemKind::Base)\
-            .build().prepare(csr).run(&x)` (see README § Engine API)"
-)]
-pub fn run_base_spmv_on(chan: &mut dyn ChannelPort, csr: &Csr, cfg: &BaseConfig) -> SpmvReport {
-    let data_bytes_before = chan.data_bytes();
-    let layout = layout_base(chan, csr);
-    let x: Vec<f64> = (0..csr.cols()).map(golden_x).collect();
-    write_base_vector(chan, &layout, &x);
-    let mut llc = Cache::new(cfg.llc);
-    let mut y = vec![0.0f64; csr.rows()];
-    let run = exec_base(chan, csr, cfg, &layout, &mut llc, &x, &mut y);
-    let verified = bits_equal(&y, &csr.spmv(&x));
-    SpmvReport {
-        label: "base".to_string(),
-        cycles: run.cycles,
-        indir_cycles: run.indir_cycles,
-        nnz: csr.nnz() as u64,
-        entries: csr.nnz() as u64,
-        offchip_bytes: chan.data_bytes() - data_bytes_before,
-        ideal_bytes: base_ideal_bytes(csr, 1),
-        verified,
-    }
 }
 
 /// DRAM home locations of the baseline system's five arrays.
@@ -191,18 +120,13 @@ pub(crate) fn base_ideal_bytes(csr: &Csr, vectors: u64) -> u64 {
         + vectors * 8 * (csr.cols() + csr.rows()) as u64
 }
 
-/// One baseline execution's measurements.
-pub(crate) struct BaseRun {
-    pub(crate) cycles: u64,
-    pub(crate) indir_cycles: u64,
-}
-
 /// Executes one baseline SpMV against an already laid-out memory image,
 /// starting the channel clock at 0. The result is accumulated into the
 /// caller's `y` buffer (overwritten, not accumulated into) in row-major
 /// element order — byte-identical to [`Csr::spmv`] — so a solver loop
 /// reuses one preallocated buffer instead of receiving a fresh vector
-/// per call.
+/// per call. The returned off-chip bytes are the channel's traffic
+/// since its last reset.
 pub(crate) fn exec_base(
     chan: &mut dyn ChannelPort,
     csr: &Csr,
@@ -211,7 +135,7 @@ pub(crate) fn exec_base(
     llc: &mut Cache,
     x: &[f64],
     y: &mut [f64],
-) -> BaseRun {
+) -> IterReport {
     assert!(csr.nnz() > 0, "empty matrix");
     let nnz = csr.nnz();
     let rows = csr.rows();
@@ -382,9 +306,10 @@ pub(crate) fn exec_base(
         assert!(now < budget, "baseline drain deadlock");
     }
 
-    BaseRun {
+    IterReport {
         cycles: now,
         indir_cycles,
+        offchip_bytes: chan.data_bytes(),
     }
 }
 
@@ -397,15 +322,26 @@ fn drain_writes(chan: &mut dyn ChannelPort, pending: &mut Vec<WideRequest>, now:
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::{golden_x, RunReport, SpmvEngine, SystemKind};
     use nmpic_sparse::gen::{banded_fem, random_uniform};
+
+    /// One cold baseline run over the golden vector on one HBM channel.
+    pub(super) fn run_base(m: &Csr, cfg: BaseConfig) -> RunReport {
+        let x: Vec<f64> = (0..m.cols()).map(golden_x).collect();
+        SpmvEngine::builder()
+            .system(SystemKind::Base)
+            .base_config(cfg)
+            .build()
+            .prepare(m)
+            .run(&x)
+    }
 
     #[test]
     fn base_runs_and_reports_sane_metrics() {
         let m = banded_fem(512, 8, 32, 3);
-        let r = run_base_spmv(&m, &BaseConfig::default());
+        let r = run_base(&m, BaseConfig::default());
         assert!(r.verified);
         assert!(r.cycles > m.nnz() as u64, "at least one cycle per nnz");
         assert!(r.indir_cycles <= r.cycles);
@@ -417,7 +353,7 @@ mod tests {
     fn llc_keeps_traffic_near_ideal_for_local_matrices() {
         // Banded: vector reuse fits easily in 1 MiB → little redundancy.
         let m = banded_fem(2048, 8, 64, 7);
-        let r = run_base_spmv(&m, &BaseConfig::default());
+        let r = run_base(&m, BaseConfig::default());
         assert!(
             r.traffic_ratio() < 2.0,
             "LLC should keep base traffic low, got {:.2}",
@@ -428,7 +364,7 @@ mod tests {
     #[test]
     fn utilization_is_low_as_in_the_paper() {
         let m = banded_fem(2048, 16, 128, 9);
-        let r = run_base_spmv(&m, &BaseConfig::default());
+        let r = run_base(&m, BaseConfig::default());
         let util = r.bw_utilization(32.0);
         assert!(
             util < 0.25,
@@ -441,8 +377,8 @@ mod tests {
     fn random_matrix_is_slower_than_banded() {
         let banded = banded_fem(1024, 8, 32, 1);
         let random = random_uniform(1024, 1024, 8, 1);
-        let rb = run_base_spmv(&banded, &BaseConfig::default());
-        let rr = run_base_spmv(&random, &BaseConfig::default());
+        let rb = run_base(&banded, BaseConfig::default());
+        let rr = run_base(&random, BaseConfig::default());
         let per_nnz_b = rb.cycles as f64 / rb.nnz as f64;
         let per_nnz_r = rr.cycles as f64 / rr.nnz as f64;
         assert!(
@@ -454,16 +390,16 @@ mod tests {
     #[test]
     fn more_mshrs_do_not_hurt() {
         let m = random_uniform(512, 4096, 8, 2);
-        let few = run_base_spmv(
+        let few = run_base(
             &m,
-            &BaseConfig {
+            BaseConfig {
                 mshrs: 2,
                 ..BaseConfig::default()
             },
         );
-        let many = run_base_spmv(
+        let many = run_base(
             &m,
-            &BaseConfig {
+            BaseConfig {
                 mshrs: 16,
                 ..BaseConfig::default()
             },
@@ -473,24 +409,24 @@ mod tests {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod behaviour_tests {
+    use super::tests::run_base;
     use super::*;
     use nmpic_sparse::gen::banded_fem;
 
     #[test]
     fn slower_gather_issue_slows_the_baseline() {
         let m = banded_fem(512, 8, 32, 31);
-        let fast = run_base_spmv(
+        let fast = run_base(
             &m,
-            &BaseConfig {
+            BaseConfig {
                 gather_issue_interval: 1,
                 ..BaseConfig::default()
             },
         );
-        let slow = run_base_spmv(
+        let slow = run_base(
             &m,
-            &BaseConfig {
+            BaseConfig {
                 gather_issue_interval: 8,
                 ..BaseConfig::default()
             },
@@ -502,11 +438,11 @@ mod behaviour_tests {
     fn tiny_llc_increases_traffic() {
         // Large-window mesh so vector reuse needs real capacity.
         let m = nmpic_sparse::gen::mesh(4096, 8, 4000, 32);
-        let big = run_base_spmv(&m, &BaseConfig::default());
-        let tiny = run_base_spmv(
+        let big = run_base(&m, BaseConfig::default());
+        let tiny = run_base(
             &m,
-            &BaseConfig {
-                llc: crate::CacheConfig {
+            BaseConfig {
+                llc: CacheConfig {
                     size_bytes: 8 * 1024,
                     ways: 8,
                     line_bytes: 64,
@@ -525,16 +461,16 @@ mod behaviour_tests {
     #[test]
     fn row_overhead_contributes_per_row() {
         let m = banded_fem(2048, 4, 16, 33);
-        let none = run_base_spmv(
+        let none = run_base(
             &m,
-            &BaseConfig {
+            BaseConfig {
                 row_overhead_cycles: 0,
                 ..BaseConfig::default()
             },
         );
-        let heavy = run_base_spmv(
+        let heavy = run_base(
             &m,
-            &BaseConfig {
+            BaseConfig {
                 row_overhead_cycles: 50,
                 ..BaseConfig::default()
             },

@@ -2,9 +2,8 @@
 //! run it against many vectors.
 //!
 //! The paper's value proposition is amortizing indirect-access cost
-//! across an entire SpMV workload, which the one-shot free functions
-//! (`run_base_spmv` & co.) could not express: they rebuilt memory,
-//! backend and unit state on every call. The session API splits the
+//! across an entire SpMV workload, so memory, backend and unit state are
+//! built once per matrix, not once per SpMV. The session API splits the
 //! lifecycle the way SparseP-style systems do:
 //!
 //! * [`SpmvEngine`] — immutable system choice: memory backend
@@ -20,6 +19,12 @@
 //!   unified [`RunReport`] comes back for every system kind. Batched runs
 //!   amortize each tile's contiguous streams across the batch on the
 //!   pack system and keep the LLC's matrix lines warm on the baseline.
+//! * [`SpmvPlan::run_into`] — the solver hot path: the same execution
+//!   into a caller-owned buffer, without verification.
+//!
+//! Each plan kind has exactly one execution routine covering both
+//! [`ExecMode`]s; `run`, `run_batch` and `run_into` all go through it,
+//! so their cycles, bytes and result bits agree by construction.
 //!
 //! # Example
 //!
@@ -46,8 +51,10 @@
 use std::fmt;
 use std::str::FromStr;
 
-use nmpic_core::{stream_memory_size, AdapterConfig, IndirectStreamUnit, ScatterUnit};
-use nmpic_mem::{BackendConfig, ChannelPort, HbmStats, Memory};
+use nmpic_core::{
+    stream_memory_size, AdapterConfig, AdapterStats, IndirectStreamUnit, ScatterStats, ScatterUnit,
+};
+use nmpic_mem::{BackendConfig, Cache, ChannelPort, HbmStats, Memory};
 use nmpic_sim::stats::Extrema;
 use nmpic_sparse::partition::{by_nnz, by_rows, Partition};
 use nmpic_sparse::{Csr, Sell};
@@ -59,13 +66,11 @@ use crate::pack::{
     exec_pack, layout_pack, pack_ideal_bytes, pack_plan_memory_size, row_map, write_pack_vector,
     PackLayout,
 };
-use crate::report::{bits_equal, results_match, IterReport, RunReport, ShardDetail};
+use crate::report::{bits_equal, IterReport, RunReport, ShardDetail};
 use crate::shard::{
-    exec_merged_collection, exec_merged_writeback, exec_shard_gather, merge_order,
-    PartitionStrategy, ShardReport,
+    exec_merged_writeback, exec_shard_gather, merge_order, PartitionStrategy, ShardReport,
 };
 use crate::{BaseConfig, PackConfig};
-use nmpic_mem::Cache;
 
 /// Which end-to-end system a [`SpmvEngine`] simulates.
 #[derive(Debug, Clone, PartialEq)]
@@ -279,16 +284,12 @@ impl SpmvEngineBuilder {
     }
 
     /// Overrides the baseline system's tuning (LLC geometry, VLSU rates).
-    /// The config's own `backend` field is ignored — the engine backend
-    /// wins.
     pub fn base_config(mut self, cfg: BaseConfig) -> Self {
         self.base = cfg;
         self
     }
 
-    /// Overrides the pack system's tuning (L2 size, compute rate). The
-    /// config's `adapter`/`backend` fields are ignored — the
-    /// [`SystemKind::Pack`] adapter and the engine backend win.
+    /// Overrides the pack system's tuning (L2 size, compute rate).
     pub fn pack_config(mut self, cfg: PackConfig) -> Self {
         self.pack = cfg;
         self
@@ -303,10 +304,10 @@ impl SpmvEngineBuilder {
 
     /// Maximum vectors of a batch resident in a pack plan's memory image
     /// at once (default 1, so single-vector plans pay no extra memory
-    /// and keep the legacy DRAM layout). Larger batches are processed in
-    /// chunks of this size, so the amortization window is bounded by it
-    /// — raise it to the intended batch width before calling
-    /// [`SpmvPlan::run_batch`].
+    /// and keep the single-vector DRAM layout). Larger batches are
+    /// processed in chunks of this size, so the amortization window is
+    /// bounded by it — raise it to the intended batch width before
+    /// calling [`SpmvPlan::run_batch`].
     ///
     /// # Panics
     ///
@@ -397,17 +398,14 @@ impl SpmvEngine {
     pub fn prepare(&self, csr: &Csr) -> SpmvPlan {
         match &self.system {
             SystemKind::Base => {
-                let cfg = BaseConfig {
-                    backend: self.backend.clone(),
-                    ..self.base.clone()
-                };
                 let mut chan = self.backend.build(Memory::new(base_memory_size(csr)));
                 let layout = layout_base(&mut *chan, csr);
-                let llc = Cache::new(cfg.llc);
+                let llc = Cache::new(self.base.llc);
                 SpmvPlan {
                     exec: self.exec_mode,
                     inner: PlanInner::Base(Box::new(BasePlan {
-                        cfg,
+                        cfg: self.base.clone(),
+                        backend: self.backend.clone(),
                         csr: csr.clone(),
                         chan,
                         layout,
@@ -441,22 +439,19 @@ impl SpmvEngine {
                 self.system
             );
         };
-        let cfg = PackConfig {
-            adapter: adapter.clone(),
-            backend: self.backend.clone(),
-            ..self.pack.clone()
-        };
         let slots = self.batch_capacity;
         let mut chan = self
             .backend
             .build(Memory::new(pack_plan_memory_size(&sell, slots)));
         let layout = layout_pack(&mut *chan, &sell, slots);
         let row_of = row_map(&sell);
-        let unit = IndirectStreamUnit::new(cfg.adapter.clone());
+        let unit = IndirectStreamUnit::new(adapter.clone());
         SpmvPlan {
             exec: self.exec_mode,
             inner: PlanInner::Pack(Box::new(PackPlan {
-                cfg,
+                cfg: self.pack.clone(),
+                adapter: adapter.clone(),
+                backend: self.backend.clone(),
                 sell,
                 row_of,
                 chan,
@@ -539,6 +534,8 @@ impl SpmvEngine {
                 merge_rows,
                 merge_bits: vec![0; rows],
                 workers: self.shard_workers,
+                first: Vec::new(),
+                first_scatter: ScatterStats::default(),
             })),
         }
     }
@@ -546,6 +543,7 @@ impl SpmvEngine {
 
 struct BasePlan {
     cfg: BaseConfig,
+    backend: BackendConfig,
     csr: Csr,
     chan: Box<dyn ChannelPort>,
     layout: BaseLayout,
@@ -557,13 +555,121 @@ struct BasePlan {
     llc: Cache,
 }
 
+impl BasePlan {
+    /// Runs one SpMV per vector of `xs` into the matching `ys` buffer.
+    /// Each vector rewrite invalidates the stale `x` lines of the LLC;
+    /// the matrix lines stay warm (on a just-reset LLC the invalidation
+    /// is a no-op).
+    fn execute(&mut self, mode: ExecMode, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport {
+        let vec_lo = self.layout.vec_base;
+        let vec_hi = vec_lo + 8 * self.csr.cols() as u64;
+        let mut total = IterReport::default();
+        for (x, y) in xs.iter().zip(ys.iter_mut()) {
+            self.llc.invalidate_range(vec_lo, vec_hi);
+            total.absorb(match mode {
+                ExecMode::CycleAccurate => {
+                    self.chan.reset_run_state();
+                    write_base_vector(&mut *self.chan, &self.layout, x);
+                    exec_base(
+                        &mut *self.chan,
+                        &self.csr,
+                        &self.cfg,
+                        &self.layout,
+                        &mut self.llc,
+                        x,
+                        y,
+                    )
+                }
+                ExecMode::Analytic => {
+                    let l = &self.layout;
+                    let cost = nmpic_model::base_cost(
+                        &nmpic_model::BaseParams {
+                            chunk: self.cfg.chunk,
+                            llc_hit_latency: self.cfg.llc_hit_latency,
+                            gather_issue_interval: self.cfg.gather_issue_interval,
+                            macs_per_cycle: self.cfg.macs_per_cycle as u64,
+                            row_overhead_cycles: self.cfg.row_overhead_cycles,
+                            chan: nmpic_model::ChannelModel::of(&self.backend),
+                        },
+                        &nmpic_model::BaseAddrs {
+                            ptr_base: l.ptr_base,
+                            idx_base: l.idx_base,
+                            val_base: l.val_base,
+                            vec_base: l.vec_base,
+                            res_base: l.res_base,
+                        },
+                        self.csr.row_ptr(),
+                        self.csr.col_idx(),
+                        &mut self.llc,
+                    );
+                    self.csr.spmv_fast_into(x, y);
+                    IterReport::of(&cost)
+                }
+            });
+        }
+        total
+    }
+}
+
 struct PackPlan {
     cfg: PackConfig,
+    adapter: AdapterConfig,
+    backend: BackendConfig,
     sell: Sell,
     row_of: Vec<u32>,
     chan: Box<dyn ChannelPort>,
     layout: PackLayout,
     unit: IndirectStreamUnit,
+}
+
+impl PackPlan {
+    /// Runs `xs` in chunks of the plan's batch capacity: per chunk the
+    /// vectors go to their resident slots and one tiled pass serves them
+    /// all, fetching each tile's slice pointers and nonzeros once.
+    fn execute(&mut self, mode: ExecMode, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport {
+        let capacity = self.layout.vec_bases.len();
+        let mut total = IterReport::default();
+        for (xs, ys) in xs.chunks(capacity).zip(ys.chunks_mut(capacity)) {
+            total.absorb(match mode {
+                ExecMode::CycleAccurate => {
+                    self.chan.reset_run_state();
+                    self.unit.reset();
+                    for (slot, x) in xs.iter().enumerate() {
+                        write_pack_vector(&mut *self.chan, &self.layout, slot, x);
+                    }
+                    exec_pack(
+                        &mut *self.chan,
+                        &mut self.unit,
+                        &self.sell,
+                        &self.cfg,
+                        &self.layout,
+                        &self.row_of,
+                        xs,
+                        ys,
+                    )
+                }
+                ExecMode::Analytic => {
+                    let vectors = xs.len();
+                    let params = nmpic_model::PackParams {
+                        tile_entries: self.cfg.tile_entries_batched(vectors).max(64),
+                        ptr_count: self.sell.slice_ptr().len(),
+                        rows: self.sell.rows(),
+                        vectors,
+                        compute_elems_per_cycle: self.cfg.compute_elems_per_cycle,
+                        adapter: self.adapter.clone(),
+                        chan: nmpic_model::ChannelModel::of(&self.backend),
+                        idx_base: self.layout.idx_base,
+                        vec_bases: self.layout.vec_bases[..vectors].to_vec(),
+                    };
+                    for (x, y) in xs.iter().zip(ys.iter_mut()) {
+                        y.copy_from_slice(&self.sell.spmv(x));
+                    }
+                    IterReport::of(&nmpic_model::pack_cost(&params, self.sell.col_idx()))
+                }
+            });
+        }
+        total
+    }
 }
 
 struct ShardSlot {
@@ -602,22 +708,252 @@ struct ShardedPlan {
     /// Worker-thread override for parallel shard execution (`None` =
     /// the shared pool's `NMPIC_JOBS` policy).
     workers: Option<usize>,
+    /// Per-shard outputs and scatter statistics of the first vector of
+    /// the latest [`ShardedPlan::execute`] — the source of the report's
+    /// [`ShardDetail`]. Gather timing and DRAM counters do not depend on
+    /// vector values, so the first vector stands for the whole batch.
+    first: Vec<ShardOut>,
+    first_scatter: ScatterStats,
 }
 
 /// What one shard's worker thread hands back to the merge: everything the
 /// report needs, computed entirely on state the worker owned exclusively
 /// (the result rows themselves land in the slot's `local_y`).
+#[derive(Clone, Copy, Default)]
 struct ShardOut {
     cycles: u64,
-    stats: nmpic_core::AdapterStats,
+    /// Gathered payload bytes (8 per nonzero).
+    payload_bytes: u64,
+    stats: AdapterStats,
     dram: Option<HbmStats>,
     data_bytes: u64,
+}
+
+impl ShardedPlan {
+    /// Runs one SpMV per vector: every shard's gather (in parallel, on
+    /// worker-owned slots), the merge into `y` in fixed shard order, then
+    /// the merged write-back phase. The cost is the slowest shard's
+    /// gather plus the write-back.
+    fn execute(&mut self, mode: ExecMode, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport {
+        let mut total = IterReport::default();
+        match mode {
+            ExecMode::CycleAccurate => {
+                for (v, (x, y)) in xs.iter().zip(ys.iter_mut()).enumerate() {
+                    let outs = self.gather(x);
+                    let mut gather = 0u64;
+                    let mut offchip = 0u64;
+                    for (slot, out) in self.slots.iter().zip(&outs) {
+                        y[slot.row_start..slot.row_start + slot.rows]
+                            .copy_from_slice(&slot.local_y);
+                        gather = gather.max(out.cycles);
+                        offchip += out.data_bytes;
+                    }
+                    let collect = self.write_back(y);
+                    total.absorb(IterReport {
+                        cycles: gather + collect,
+                        indir_cycles: gather,
+                        offchip_bytes: offchip + self.collect_chan.data_bytes(),
+                    });
+                    if v == 0 {
+                        self.first = outs;
+                        self.first_scatter = self.scatter.stats();
+                    }
+                }
+            }
+            ExecMode::Analytic => {
+                let (outs, collect) = self.analytic_costs();
+                let gather = outs.iter().map(|o| o.cycles).max().unwrap_or(0);
+                let per_vector = IterReport {
+                    cycles: gather + collect.cycles.round() as u64,
+                    indir_cycles: gather,
+                    offchip_bytes: outs.iter().map(|o| o.data_bytes).sum::<u64>()
+                        + collect.offchip_bytes,
+                };
+                for (x, y) in xs.iter().zip(ys.iter_mut()) {
+                    self.csr.spmv_fast_into(x, y);
+                    total.absorb(per_vector);
+                }
+                self.first = outs;
+                self.first_scatter = ScatterStats::default();
+            }
+        }
+        total
+    }
+
+    /// The gather phase: every shard's unit simulation runs on its own
+    /// worker thread. Each worker owns its slot exclusively (channel,
+    /// unit, and a local accumulation buffer), so the simulations are
+    /// bit-for-bit the same as a serial loop whatever the worker count.
+    fn gather(&mut self, x: &[f64]) -> Vec<ShardOut> {
+        let workers = self.workers.unwrap_or_else(nmpic_sim::pool::parallel_jobs);
+        let (csr, partition) = (&self.csr, &self.partition);
+        let jobs: Vec<(usize, &mut ShardSlot)> = self.slots.iter_mut().enumerate().collect();
+        nmpic_sim::pool::parallel_map_jobs(workers, jobs, |(i, slot)| {
+            slot.local_y.fill(0.0);
+            if slot.nnz == 0 {
+                return ShardOut::default();
+            }
+            slot.chan.reset_run_state();
+            slot.chan.memory_mut().write_f64_slice(slot.x_base, x);
+            slot.unit.reset();
+            let shard = partition.csr_shard(csr, i);
+            let (cycles, stats, dram) = exec_shard_gather(
+                &mut *slot.chan,
+                &mut slot.unit,
+                slot.idx_base,
+                slot.x_base,
+                shard.values(),
+                &slot.row_of,
+                &mut slot.local_y,
+            );
+            ShardOut {
+                cycles,
+                payload_bytes: stats.payload_bytes,
+                stats,
+                dram,
+                data_bytes: slot.chan.data_bytes(),
+            }
+        })
+    }
+
+    /// The merged collection of one result vector through the scatter
+    /// unit, staged through the plan-resident merge buffer. Returns the
+    /// phase's cycles.
+    fn write_back(&mut self, y: &[f64]) -> u64 {
+        self.collect_chan.reset_run_state();
+        self.scatter.reset();
+        self.merge_bits.clear();
+        self.merge_bits
+            .extend(self.merge_rows.iter().map(|&r| y[r as usize].to_bits()));
+        exec_merged_writeback(
+            &mut *self.collect_chan,
+            &mut self.scatter,
+            self.collect_idx_base,
+            self.collect_res_base,
+            &self.merge_bits,
+            self.csr.rows(),
+        )
+    }
+
+    /// `true` iff the result array the latest write-back left in the
+    /// collection channel's memory holds exactly the bits of `y`.
+    fn written_back(&self, y: &[f64]) -> bool {
+        let mem = self.collect_chan.memory();
+        (0..y.len() as u64)
+            .zip(y)
+            .all(|(r, v)| mem.read_u64(self.collect_res_base + 8 * r) == v.to_bits())
+    }
+
+    /// Analytic per-shard gather costs (as [`ShardOut`]s) and the
+    /// collection cost of one vector. Costs do not depend on vector
+    /// values, so one evaluation covers every vector of a call.
+    fn analytic_costs(&self) -> (Vec<ShardOut>, nmpic_model::AnalyticCost) {
+        let unit_chan = nmpic_model::ChannelModel::of(&self.backend.split(self.units));
+        let collect_chan =
+            nmpic_model::ChannelModel::of(&self.backend.split(self.backend.kind.channels()));
+        // Each shard's replay is independent; fan them across the work
+        // pool (this is the analytic path's dominant cost on large
+        // matrices).
+        let jobs: Vec<(usize, u64, u64, u64)> = self
+            .slots
+            .iter()
+            .enumerate()
+            .map(|(i, slot)| (i, slot.nnz, slot.idx_base, slot.x_base))
+            .collect();
+        let workers = nmpic_sim::pool::parallel_jobs();
+        // Capture only plain data: the plan also owns channel ports, which
+        // are not Sync.
+        let (partition, csr, adapter) = (&self.partition, &self.csr, &self.adapter);
+        let outs =
+            nmpic_sim::pool::parallel_map_jobs(workers, jobs, |(i, nnz, idx_base, x_base)| {
+                if nnz == 0 {
+                    return ShardOut::default();
+                }
+                let shard = partition.csr_shard(csr, i);
+                let cost = nmpic_model::shard_gather_cost(
+                    adapter,
+                    &unit_chan,
+                    idx_base,
+                    x_base,
+                    shard.col_idx(),
+                );
+                ShardOut {
+                    cycles: cost.cycles.round() as u64,
+                    payload_bytes: 8 * nnz,
+                    data_bytes: cost.offchip_bytes,
+                    ..ShardOut::default()
+                }
+            });
+        (
+            outs,
+            nmpic_model::collect_cost(self.csr.rows(), &collect_chan),
+        )
+    }
+
+    /// The multi-unit detail of a run whose summed cost is `cost` over
+    /// `vectors` vectors, with per-shard rows from the first vector.
+    fn detail(&self, cost: IterReport, vectors: usize) -> ShardDetail {
+        let mut cycle_ext = Extrema::new();
+        let mut bus_ext = Extrema::new();
+        let mut dram: Option<HbmStats> = None;
+        let mut payload_bytes = 0u64;
+        let mut per_shard = Vec::with_capacity(self.slots.len());
+        for (i, (slot, out)) in self.slots.iter().zip(&self.first).enumerate() {
+            cycle_ext.add(out.cycles as f64);
+            if let Some(d) = out.dram {
+                bus_ext.add(d.bus_busy_cycles as f64);
+                dram = Some(dram.map_or(d, |acc| acc.merge(&d)));
+            }
+            payload_bytes += out.payload_bytes;
+            per_shard.push(ShardReport {
+                shard: i,
+                rows: slot.rows,
+                nnz: slot.nnz,
+                cycles: out.cycles,
+                indir_gbps: if out.cycles == 0 {
+                    0.0
+                } else {
+                    out.payload_bytes as f64 / out.cycles as f64
+                },
+                adapter: out.stats,
+                dram: out.dram,
+            });
+        }
+        let gather_cycles = cost.indir_cycles;
+        ShardDetail {
+            units: self.units,
+            gather_cycles,
+            collect_cycles: cost.cycles - gather_cycles,
+            aggregate_gbps: if gather_cycles == 0 {
+                0.0
+            } else {
+                (payload_bytes * vectors as u64) as f64 / gather_cycles as f64
+            },
+            nnz_imbalance: self.partition.nnz_imbalance(),
+            cycle_imbalance: cycle_ext.imbalance(),
+            bus_imbalance: bus_ext.imbalance(),
+            scatter: self.first_scatter,
+            dram,
+            per_shard,
+        }
+    }
 }
 
 enum PlanInner {
     Base(Box<BasePlan>),
     Pack(Box<PackPlan>),
     Sharded(Box<ShardedPlan>),
+}
+
+impl PlanInner {
+    /// Forwards to the plan kind's one `execute`.
+    fn dispatch(&mut self, mode: ExecMode, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport {
+        match self {
+            PlanInner::Base(p) => p.execute(mode, xs, ys),
+            PlanInner::Pack(p) => p.execute(mode, xs, ys),
+            PlanInner::Sharded(p) => p.execute(mode, xs, ys),
+        }
+    }
 }
 
 /// A prepared SpMV plan: matrix image resident in a warm backend,
@@ -671,11 +1007,11 @@ impl SpmvPlan {
     /// reuse pattern as a batched run, which is exactly what an
     /// `x ← f(A·x)` feedback loop produces.
     ///
-    /// The result bytes are identical to [`SpmvPlan::run`] on the same
-    /// plan (pinned by tests); unlike `run` this path performs **no
-    /// golden-model verification** and returns the lean [`IterReport`]
-    /// instead of a [`RunReport`] — a solver checks convergence, not
-    /// per-iteration golden equality.
+    /// This is the same execution [`SpmvPlan::run`] performs, so the
+    /// result bytes are identical (pinned by tests); unlike `run` this
+    /// path performs **no golden-model verification** and returns the
+    /// lean [`IterReport`] instead of a [`RunReport`] — a solver checks
+    /// convergence, not per-iteration golden equality.
     ///
     /// # Panics
     ///
@@ -684,14 +1020,7 @@ impl SpmvPlan {
     pub fn run_into(&mut self, x: &[f64], y: &mut [f64]) -> IterReport {
         assert_eq!(x.len(), self.cols(), "vector length must equal cols");
         assert_eq!(y.len(), self.rows(), "result buffer length must equal rows");
-        match (&mut self.inner, self.exec) {
-            (PlanInner::Base(p), ExecMode::CycleAccurate) => run_base_iter(p, x, y),
-            (PlanInner::Base(p), ExecMode::Analytic) => analytic_base_iter(p, x, y),
-            (PlanInner::Pack(p), ExecMode::CycleAccurate) => run_pack_iter(p, x, y),
-            (PlanInner::Pack(p), ExecMode::Analytic) => analytic_pack_iter(p, x, y),
-            (PlanInner::Sharded(p), ExecMode::CycleAccurate) => run_sharded_iter(p, x, y),
-            (PlanInner::Sharded(p), ExecMode::Analytic) => analytic_sharded_iter(p, x, y),
-        }
+        self.inner.dispatch(self.exec, &[x], &mut [y])
     }
 
     /// The plan's execution mode (inherited from the engine).
@@ -703,8 +1032,13 @@ impl SpmvPlan {
     pub fn label(&self) -> String {
         match &self.inner {
             PlanInner::Base(_) => "base".to_string(),
-            PlanInner::Pack(p) => p.cfg.adapter.label(),
-            PlanInner::Sharded(p) => sharded_label(p),
+            PlanInner::Pack(p) => p.adapter.label(),
+            PlanInner::Sharded(p) => format!(
+                "sharded x{} ({}, {})",
+                p.units,
+                p.adapter.label(),
+                p.backend.label()
+            ),
         }
     }
 
@@ -735,659 +1069,65 @@ impl SpmvPlan {
         }
     }
 
+    /// Cold start, execution, golden verification, report. The LLC is
+    /// reset so every run starts from the same deterministic state; the
+    /// channels and units are reset inside the execution itself.
     fn run_vectors(&mut self, xs: &[&[f64]]) -> RunReport {
         assert!(!xs.is_empty(), "at least one vector");
         for x in xs {
             assert_eq!(x.len(), self.cols(), "vector length must equal cols");
         }
-        match (&mut self.inner, self.exec) {
-            (PlanInner::Base(p), ExecMode::CycleAccurate) => run_base_plan(p, xs),
-            (PlanInner::Base(p), ExecMode::Analytic) => analytic_base_plan(p, xs),
-            (PlanInner::Pack(p), ExecMode::CycleAccurate) => run_pack_plan(p, xs),
-            (PlanInner::Pack(p), ExecMode::Analytic) => analytic_pack_plan(p, xs),
-            (PlanInner::Sharded(p), ExecMode::CycleAccurate) => run_sharded_plan(p, xs),
-            (PlanInner::Sharded(p), ExecMode::Analytic) => analytic_sharded_plan(p, xs),
+        if let PlanInner::Base(p) = &mut self.inner {
+            p.llc.reset();
+        }
+        let mut ys = vec![vec![0.0f64; self.rows()]; xs.len()];
+        let mut bufs: Vec<&mut [f64]> = ys.iter_mut().map(Vec::as_mut_slice).collect();
+        let cost = self.inner.dispatch(self.exec, xs, &mut bufs);
+        let n = xs.len() as u64;
+        // Analytic values come from the golden kernels themselves, so
+        // only simulated datapaths are checked against them.
+        let verified = self.exec == ExecMode::Analytic || self.verify(xs, &ys);
+        let (entries, ideal_bytes, shards) = match &self.inner {
+            PlanInner::Base(p) => (p.csr.nnz(), base_ideal_bytes(&p.csr, n), None),
+            PlanInner::Pack(p) => (p.sell.padded_len(), pack_ideal_bytes(&p.sell, n), None),
+            PlanInner::Sharded(p) => (
+                p.csr.nnz(),
+                base_ideal_bytes(&p.csr, n),
+                Some(p.detail(cost, xs.len())),
+            ),
+        };
+        RunReport {
+            label: self.label(),
+            cycles: cost.cycles,
+            vectors: xs.len(),
+            indir_cycles: cost.indir_cycles,
+            nnz: self.nnz() as u64,
+            entries: entries as u64,
+            offchip_bytes: cost.offchip_bytes,
+            ideal_bytes,
+            verified,
+            ys,
+            shards,
         }
     }
-}
 
-fn sharded_label(p: &ShardedPlan) -> String {
-    format!(
-        "sharded x{} ({}, {})",
-        p.units,
-        p.adapter.label(),
-        p.backend.label()
-    )
-}
-
-fn run_base_plan(plan: &mut BasePlan, xs: &[&[f64]]) -> RunReport {
-    let cols = plan.csr.cols();
-    let rows = plan.csr.rows();
-    let vec_lo = plan.layout.vec_base;
-    let vec_hi = vec_lo + 8 * cols as u64;
-    // One LLC for the whole batch, reset to the documented deterministic
-    // cold start: matrix lines stay warm across the batch's vectors (the
-    // batch amortization); the stale vector region is invalidated
-    // whenever x is rewritten.
-    plan.llc.reset();
-    let mut cycles = 0u64;
-    let mut indir_cycles = 0u64;
-    let mut offchip = 0u64;
-    let mut verified = true;
-    let mut ys = Vec::with_capacity(xs.len());
-    for (i, x) in xs.iter().enumerate() {
-        plan.chan.reset_run_state();
-        write_base_vector(&mut *plan.chan, &plan.layout, x);
-        if i > 0 {
-            plan.llc.invalidate_range(vec_lo, vec_hi);
+    /// `true` iff every result is bit-identical to the golden kernel of
+    /// the plan's format (`Csr::spmv_fast`, byte-identical to
+    /// `Csr::spmv`, for CSR systems; `Sell::spmv` for pack). The sharded
+    /// system must also have written the last result to its DRAM result
+    /// array; write-back addresses do not depend on vector values, so
+    /// the last vector checks the write path for the whole batch.
+    fn verify(&self, xs: &[&[f64]], ys: &[Vec<f64>]) -> bool {
+        let golden = |x: &[f64]| match &self.inner {
+            PlanInner::Base(p) => p.csr.spmv_fast(x),
+            PlanInner::Pack(p) => p.sell.spmv(x),
+            PlanInner::Sharded(p) => p.csr.spmv_fast(x),
+        };
+        let values_ok = xs.iter().zip(ys).all(|(x, y)| bits_equal(y, &golden(x)));
+        match &self.inner {
+            PlanInner::Sharded(p) => values_ok && ys.last().is_some_and(|y| p.written_back(y)),
+            _ => values_ok,
         }
-        let mut y = vec![0.0f64; rows];
-        let run = exec_base(
-            &mut *plan.chan,
-            &plan.csr,
-            &plan.cfg,
-            &plan.layout,
-            &mut plan.llc,
-            x,
-            &mut y,
-        );
-        cycles += run.cycles;
-        indir_cycles += run.indir_cycles;
-        offchip += plan.chan.data_bytes();
-        // The golden reference runs through the parallel native kernel —
-        // byte-identical to `Csr::spmv` (pinned in nmpic-sparse's tests)
-        // and much faster on large matrices.
-        verified &= bits_equal(&y, &plan.csr.spmv_fast(x));
-        ys.push(y);
-    }
-    RunReport {
-        label: "base".to_string(),
-        cycles,
-        vectors: xs.len(),
-        indir_cycles,
-        nnz: plan.csr.nnz() as u64,
-        entries: plan.csr.nnz() as u64,
-        offchip_bytes: offchip,
-        ideal_bytes: base_ideal_bytes(&plan.csr, xs.len() as u64),
-        verified,
-        ys,
-        shards: None,
-    }
-}
-
-fn run_pack_plan(plan: &mut PackPlan, xs: &[&[f64]]) -> RunReport {
-    let capacity = plan.layout.vec_bases.len();
-    let rows = plan.sell.rows();
-    let mut cycles = 0u64;
-    let mut indir_cycles = 0u64;
-    let mut offchip = 0u64;
-    let mut verified = true;
-    let mut ys = Vec::with_capacity(xs.len());
-    for chunk in xs.chunks(capacity) {
-        plan.chan.reset_run_state();
-        plan.unit.reset();
-        for (slot, x) in chunk.iter().enumerate() {
-            write_pack_vector(&mut *plan.chan, &plan.layout, slot, x);
-        }
-        let mut bufs: Vec<Vec<f64>> = chunk.iter().map(|_| vec![0.0f64; rows]).collect();
-        let mut refs: Vec<&mut [f64]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
-        let run = exec_pack(
-            &mut *plan.chan,
-            &mut plan.unit,
-            &plan.sell,
-            &plan.cfg,
-            &plan.layout,
-            &plan.row_of,
-            chunk,
-            &mut refs,
-        );
-        cycles += run.cycles;
-        indir_cycles += run.indir_cycles;
-        offchip += plan.chan.data_bytes();
-        for (x, y) in chunk.iter().zip(bufs) {
-            verified &= results_match(&y, &plan.sell.spmv(x));
-            ys.push(y);
-        }
-    }
-    RunReport {
-        label: plan.cfg.adapter.label(),
-        cycles,
-        vectors: xs.len(),
-        indir_cycles,
-        nnz: plan.sell.nnz() as u64,
-        entries: plan.sell.padded_len() as u64,
-        offchip_bytes: offchip,
-        ideal_bytes: pack_ideal_bytes(&plan.sell, xs.len() as u64),
-        verified,
-        ys,
-        shards: None,
-    }
-}
-
-fn run_sharded_plan(plan: &mut ShardedPlan, xs: &[&[f64]]) -> RunReport {
-    let label = sharded_label(plan);
-    let workers = plan.workers.unwrap_or_else(nmpic_sim::pool::parallel_jobs);
-    let csr = &plan.csr;
-    let partition = &plan.partition;
-    let rows = csr.rows();
-    let mut gather_cycles = 0u64;
-    let mut collect_cycles = 0u64;
-    let mut payload_bytes = 0u64;
-    let mut offchip = 0u64;
-    let mut verified = true;
-    let mut ys = Vec::with_capacity(xs.len());
-    let mut per_shard: Vec<ShardReport> = Vec::new();
-    let mut cycle_ext = Extrema::new();
-    let mut bus_ext = Extrema::new();
-    let mut scatter_stats = None;
-    let mut dram_acc: Option<HbmStats> = None;
-
-    for (v, x) in xs.iter().enumerate() {
-        // Gather phase: every shard's unit simulation runs on its own
-        // worker thread. Each worker owns its slot exclusively (channel,
-        // unit, and a local accumulation buffer), so the simulations are
-        // bit-for-bit the same as the serial loop; the merge below walks
-        // shards in fixed index order, keeping reports and result bytes
-        // identical whatever the worker count.
-        let jobs: Vec<(usize, &mut ShardSlot)> = plan.slots.iter_mut().enumerate().collect();
-        let outs: Vec<ShardOut> = nmpic_sim::pool::parallel_map_jobs(workers, jobs, |(i, slot)| {
-            slot.local_y.fill(0.0);
-            if slot.nnz == 0 {
-                return ShardOut {
-                    cycles: 0,
-                    stats: Default::default(),
-                    dram: None,
-                    data_bytes: 0,
-                };
-            }
-            slot.chan.reset_run_state();
-            slot.chan.memory_mut().write_f64_slice(slot.x_base, x);
-            slot.unit.reset();
-            let shard = partition.csr_shard(csr, i);
-            let (cycles, stats, dram) = exec_shard_gather(
-                &mut *slot.chan,
-                &mut slot.unit,
-                slot.idx_base,
-                slot.x_base,
-                shard.values(),
-                &slot.row_of,
-                &mut slot.local_y,
-            );
-            ShardOut {
-                cycles,
-                stats,
-                dram,
-                data_bytes: slot.chan.data_bytes(),
-            }
-        });
-
-        let mut y = vec![0.0f64; rows];
-        let mut vec_gather = 0u64;
-        for (i, (slot, out)) in plan.slots.iter().zip(&outs).enumerate() {
-            y[slot.row_start..slot.row_start + slot.rows].copy_from_slice(&slot.local_y);
-            offchip += out.data_bytes;
-            payload_bytes += out.stats.payload_bytes;
-            vec_gather = vec_gather.max(out.cycles);
-            // Detail stats (dram, scatter, per-shard rows) all describe
-            // one vector's worth of work; gather timing and DRAM
-            // counters do not depend on vector values, so the first
-            // vector is representative of every one in the batch.
-            if v == 0 {
-                if let Some(d) = out.dram {
-                    dram_acc = Some(match dram_acc {
-                        Some(acc) => acc.merge(&d),
-                        None => d,
-                    });
-                }
-                cycle_ext.add(out.cycles as f64);
-                if let Some(d) = &out.dram {
-                    bus_ext.add(d.bus_busy_cycles as f64);
-                }
-                per_shard.push(ShardReport {
-                    shard: i,
-                    rows: slot.rows,
-                    nnz: slot.nnz,
-                    cycles: out.cycles,
-                    indir_gbps: if out.cycles == 0 {
-                        0.0
-                    } else {
-                        out.stats.payload_bytes as f64 / out.cycles as f64
-                    },
-                    adapter: out.stats,
-                    dram: out.dram,
-                });
-            }
-        }
-        gather_cycles += vec_gather;
-
-        // Merged collection of this vector's result rows, staged through
-        // the plan-resident buffer (shared with `run_sharded_iter`).
-        plan.collect_chan.reset_run_state();
-        plan.scatter.reset();
-        plan.merge_bits.clear();
-        plan.merge_bits
-            .extend(plan.merge_rows.iter().map(|&r| y[r as usize].to_bits()));
-        let (ccycles, sstats, result_bits) = exec_merged_collection(
-            &mut *plan.collect_chan,
-            &mut plan.scatter,
-            plan.collect_idx_base,
-            plan.collect_res_base,
-            &plan.merge_bits,
-            rows,
-        );
-        collect_cycles += ccycles;
-        offchip += plan.collect_chan.data_bytes();
-        scatter_stats.get_or_insert(sstats);
-        let golden_bits: Vec<u64> = csr.spmv_fast(x).iter().map(|v| v.to_bits()).collect();
-        verified &= result_bits == golden_bits;
-        ys.push(y);
-    }
-
-    let detail = ShardDetail {
-        units: plan.units,
-        gather_cycles,
-        collect_cycles,
-        aggregate_gbps: if gather_cycles == 0 {
-            0.0
-        } else {
-            payload_bytes as f64 / gather_cycles as f64
-        },
-        nnz_imbalance: partition.nnz_imbalance(),
-        cycle_imbalance: cycle_ext.imbalance(),
-        bus_imbalance: bus_ext.imbalance(),
-        scatter: scatter_stats.unwrap_or_default(),
-        dram: dram_acc,
-        per_shard,
-    };
-    RunReport {
-        label,
-        cycles: gather_cycles + collect_cycles,
-        vectors: xs.len(),
-        indir_cycles: gather_cycles,
-        nnz: csr.nnz() as u64,
-        entries: csr.nnz() as u64,
-        offchip_bytes: offchip,
-        ideal_bytes: base_ideal_bytes(csr, xs.len() as u64),
-        verified,
-        ys,
-        shards: Some(detail),
-    }
-}
-
-/// The baseline hot path: rewrite `x`, invalidate its stale LLC lines
-/// (matrix lines stay warm, like a batch continuation), execute into the
-/// caller's `y`.
-fn run_base_iter(plan: &mut BasePlan, x: &[f64], y: &mut [f64]) -> IterReport {
-    let vec_lo = plan.layout.vec_base;
-    let vec_hi = vec_lo + 8 * plan.csr.cols() as u64;
-    plan.chan.reset_run_state();
-    write_base_vector(&mut *plan.chan, &plan.layout, x);
-    plan.llc.invalidate_range(vec_lo, vec_hi);
-    let run = exec_base(
-        &mut *plan.chan,
-        &plan.csr,
-        &plan.cfg,
-        &plan.layout,
-        &mut plan.llc,
-        x,
-        y,
-    );
-    IterReport {
-        cycles: run.cycles,
-        indir_cycles: run.indir_cycles,
-        offchip_bytes: plan.chan.data_bytes(),
-    }
-}
-
-/// The pack hot path: one single-vector tiled pass into the caller's
-/// `y`, reusing batch slot 0's resident vector region.
-fn run_pack_iter(plan: &mut PackPlan, x: &[f64], y: &mut [f64]) -> IterReport {
-    plan.chan.reset_run_state();
-    plan.unit.reset();
-    write_pack_vector(&mut *plan.chan, &plan.layout, 0, x);
-    let run = exec_pack(
-        &mut *plan.chan,
-        &mut plan.unit,
-        &plan.sell,
-        &plan.cfg,
-        &plan.layout,
-        &plan.row_of,
-        &[x],
-        &mut [y],
-    );
-    IterReport {
-        cycles: run.cycles,
-        indir_cycles: run.indir_cycles,
-        offchip_bytes: plan.chan.data_bytes(),
-    }
-}
-
-/// The sharded hot path: parallel per-shard gathers into the slots'
-/// resident `local_y` buffers, merge into the caller's `y`, then the
-/// merged write-back phase — skipping the per-shard detail rows and the
-/// verification read-back, and reusing the plan's staging buffers.
-fn run_sharded_iter(plan: &mut ShardedPlan, x: &[f64], y: &mut [f64]) -> IterReport {
-    let workers = plan.workers.unwrap_or_else(nmpic_sim::pool::parallel_jobs);
-    let csr = &plan.csr;
-    let partition = &plan.partition;
-    let jobs: Vec<(usize, &mut ShardSlot)> = plan.slots.iter_mut().enumerate().collect();
-    let outs: Vec<(u64, u64)> = nmpic_sim::pool::parallel_map_jobs(workers, jobs, |(i, slot)| {
-        slot.local_y.fill(0.0);
-        if slot.nnz == 0 {
-            return (0, 0);
-        }
-        slot.chan.reset_run_state();
-        slot.chan.memory_mut().write_f64_slice(slot.x_base, x);
-        slot.unit.reset();
-        let shard = partition.csr_shard(csr, i);
-        let (cycles, _, _) = exec_shard_gather(
-            &mut *slot.chan,
-            &mut slot.unit,
-            slot.idx_base,
-            slot.x_base,
-            shard.values(),
-            &slot.row_of,
-            &mut slot.local_y,
-        );
-        (cycles, slot.chan.data_bytes())
-    });
-
-    let mut gather_cycles = 0u64;
-    let mut offchip = 0u64;
-    for (slot, &(cycles, bytes)) in plan.slots.iter().zip(&outs) {
-        y[slot.row_start..slot.row_start + slot.rows].copy_from_slice(&slot.local_y);
-        gather_cycles = gather_cycles.max(cycles);
-        offchip += bytes;
-    }
-
-    plan.collect_chan.reset_run_state();
-    plan.scatter.reset();
-    plan.merge_bits.clear();
-    plan.merge_bits
-        .extend(plan.merge_rows.iter().map(|&r| y[r as usize].to_bits()));
-    let (collect_cycles, _) = exec_merged_writeback(
-        &mut *plan.collect_chan,
-        &mut plan.scatter,
-        plan.collect_idx_base,
-        plan.collect_res_base,
-        &plan.merge_bits,
-        plan.csr.rows(),
-    );
-    offchip += plan.collect_chan.data_bytes();
-    IterReport {
-        cycles: gather_cycles + collect_cycles,
-        indir_cycles: gather_cycles,
-        offchip_bytes: offchip,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Analytic execution mode
-// ---------------------------------------------------------------------
-//
-// The analytic executors fill the same reports from the closed-form
-// model in `nmpic_model::analytic` instead of stepping the simulators.
-// Result values are computed natively (`Csr::spmv_fast` for CSR-order
-// systems, `Sell::spmv` for the pack system's padded order) and are
-// byte-identical to what the cycle-accurate executors accumulate — the
-// identity both kernels pin in their own test suites — so `verified`
-// reports an honest `true` and iterative solvers reproduce their
-// cycle-accurate residual trajectories exactly.
-
-fn analytic_base_params(cfg: &BaseConfig) -> nmpic_model::BaseParams {
-    nmpic_model::BaseParams {
-        chunk: cfg.chunk,
-        llc_hit_latency: cfg.llc_hit_latency,
-        gather_issue_interval: cfg.gather_issue_interval,
-        macs_per_cycle: cfg.macs_per_cycle as u64,
-        row_overhead_cycles: cfg.row_overhead_cycles,
-        chan: nmpic_model::ChannelModel::of(&cfg.backend),
-    }
-}
-
-fn analytic_base_addrs(l: &BaseLayout) -> nmpic_model::BaseAddrs {
-    nmpic_model::BaseAddrs {
-        ptr_base: l.ptr_base,
-        idx_base: l.idx_base,
-        val_base: l.val_base,
-        vec_base: l.vec_base,
-        res_base: l.res_base,
-    }
-}
-
-fn analytic_base_plan(plan: &mut BasePlan, xs: &[&[f64]]) -> RunReport {
-    let p = analytic_base_params(&plan.cfg);
-    let a = analytic_base_addrs(&plan.layout);
-    let vec_lo = plan.layout.vec_base;
-    let vec_hi = vec_lo + 8 * plan.csr.cols() as u64;
-    // Same LLC discipline as the cycle-accurate batch: cold start, matrix
-    // lines warm across vectors, stale vector range invalidated.
-    plan.llc.reset();
-    let mut cycles = 0u64;
-    let mut indir_cycles = 0u64;
-    let mut offchip = 0u64;
-    let mut ys = Vec::with_capacity(xs.len());
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            plan.llc.invalidate_range(vec_lo, vec_hi);
-        }
-        let cost = nmpic_model::base_cost(
-            &p,
-            &a,
-            plan.csr.row_ptr(),
-            plan.csr.col_idx(),
-            &mut plan.llc,
-        );
-        cycles += cost.cycles.round() as u64;
-        indir_cycles += cost.indir_cycles.round() as u64;
-        offchip += cost.offchip_bytes;
-        ys.push(plan.csr.spmv_fast(x));
-    }
-    RunReport {
-        label: "base".to_string(),
-        cycles,
-        vectors: xs.len(),
-        indir_cycles,
-        nnz: plan.csr.nnz() as u64,
-        entries: plan.csr.nnz() as u64,
-        offchip_bytes: offchip,
-        ideal_bytes: base_ideal_bytes(&plan.csr, xs.len() as u64),
-        verified: true,
-        ys,
-        shards: None,
-    }
-}
-
-fn analytic_base_iter(plan: &mut BasePlan, x: &[f64], y: &mut [f64]) -> IterReport {
-    let p = analytic_base_params(&plan.cfg);
-    let a = analytic_base_addrs(&plan.layout);
-    let vec_lo = plan.layout.vec_base;
-    let vec_hi = vec_lo + 8 * plan.csr.cols() as u64;
-    plan.llc.invalidate_range(vec_lo, vec_hi);
-    let cost = nmpic_model::base_cost(
-        &p,
-        &a,
-        plan.csr.row_ptr(),
-        plan.csr.col_idx(),
-        &mut plan.llc,
-    );
-    plan.csr.spmv_fast_into(x, y);
-    IterReport {
-        cycles: cost.cycles.round() as u64,
-        indir_cycles: cost.indir_cycles.round() as u64,
-        offchip_bytes: cost.offchip_bytes,
-    }
-}
-
-fn analytic_pack_params(plan: &PackPlan, vectors: usize) -> nmpic_model::PackParams {
-    nmpic_model::PackParams {
-        tile_entries: plan.cfg.tile_entries_batched(vectors).max(64),
-        ptr_count: plan.sell.slice_ptr().len(),
-        rows: plan.sell.rows(),
-        vectors,
-        compute_elems_per_cycle: plan.cfg.compute_elems_per_cycle,
-        adapter: plan.cfg.adapter.clone(),
-        chan: nmpic_model::ChannelModel::of(&plan.cfg.backend),
-        idx_base: plan.layout.idx_base,
-        vec_bases: plan.layout.vec_bases[..vectors.min(plan.layout.vec_bases.len())].to_vec(),
-    }
-}
-
-fn analytic_pack_plan(plan: &mut PackPlan, xs: &[&[f64]]) -> RunReport {
-    let capacity = plan.layout.vec_bases.len();
-    let mut cycles = 0u64;
-    let mut indir_cycles = 0u64;
-    let mut offchip = 0u64;
-    let mut ys = Vec::with_capacity(xs.len());
-    for chunk in xs.chunks(capacity) {
-        let params = analytic_pack_params(plan, chunk.len());
-        let cost = nmpic_model::pack_cost(&params, plan.sell.col_idx());
-        cycles += cost.cycles.round() as u64;
-        indir_cycles += cost.indir_cycles.round() as u64;
-        offchip += cost.offchip_bytes;
-        for x in chunk {
-            ys.push(plan.sell.spmv(x));
-        }
-    }
-    RunReport {
-        label: plan.cfg.adapter.label(),
-        cycles,
-        vectors: xs.len(),
-        indir_cycles,
-        nnz: plan.sell.nnz() as u64,
-        entries: plan.sell.padded_len() as u64,
-        offchip_bytes: offchip,
-        ideal_bytes: pack_ideal_bytes(&plan.sell, xs.len() as u64),
-        verified: true,
-        ys,
-        shards: None,
-    }
-}
-
-fn analytic_pack_iter(plan: &mut PackPlan, x: &[f64], y: &mut [f64]) -> IterReport {
-    let params = analytic_pack_params(plan, 1);
-    let cost = nmpic_model::pack_cost(&params, plan.sell.col_idx());
-    y.copy_from_slice(&plan.sell.spmv(x));
-    IterReport {
-        cycles: cost.cycles.round() as u64,
-        indir_cycles: cost.indir_cycles.round() as u64,
-        offchip_bytes: cost.offchip_bytes,
-    }
-}
-
-/// Per-vector analytic sharded costs: the gather phase is the slowest
-/// shard's burst, the collection phase streams the merged result rows.
-/// Costs do not depend on vector values, so one evaluation covers every
-/// vector of a batch.
-fn analytic_sharded_costs(
-    plan: &ShardedPlan,
-) -> (Vec<nmpic_model::AnalyticCost>, nmpic_model::AnalyticCost) {
-    let unit_chan = nmpic_model::ChannelModel::of(&plan.backend.split(plan.units));
-    let collect_chan =
-        nmpic_model::ChannelModel::of(&plan.backend.split(plan.backend.kind.channels()));
-    // Each shard's replay is independent; fan them across the work pool
-    // (this is the analytic path's dominant cost on large matrices).
-    let jobs: Vec<(usize, u64, u64, u64)> = plan
-        .slots
-        .iter()
-        .enumerate()
-        .map(|(i, slot)| (i, slot.nnz, slot.idx_base, slot.x_base))
-        .collect();
-    let workers = nmpic_sim::pool::parallel_jobs();
-    // Capture only plain data: the plan also owns channel ports, which
-    // are not Sync.
-    let (partition, csr, adapter) = (&plan.partition, &plan.csr, &plan.adapter);
-    let per_shard =
-        nmpic_sim::pool::parallel_map_jobs(workers, jobs, |(i, nnz, idx_base, x_base)| {
-            if nnz == 0 {
-                return nmpic_model::AnalyticCost::default();
-            }
-            let shard = partition.csr_shard(csr, i);
-            nmpic_model::shard_gather_cost(adapter, &unit_chan, idx_base, x_base, shard.col_idx())
-        });
-    (
-        per_shard,
-        nmpic_model::collect_cost(plan.csr.rows(), &collect_chan),
-    )
-}
-
-fn analytic_sharded_plan(plan: &mut ShardedPlan, xs: &[&[f64]]) -> RunReport {
-    let (shard_costs, collect) = analytic_sharded_costs(plan);
-    let n = xs.len() as u64;
-    let mut gather_per_vec = 0u64;
-    let mut shard_bytes = 0u64;
-    let mut payload_per_vec = 0u64;
-    let mut cycle_ext = Extrema::new();
-    let bus_ext = Extrema::new();
-    let mut per_shard = Vec::with_capacity(plan.slots.len());
-    for (i, (slot, cost)) in plan.slots.iter().zip(&shard_costs).enumerate() {
-        let cyc = cost.cycles.round() as u64;
-        gather_per_vec = gather_per_vec.max(cyc);
-        shard_bytes += cost.offchip_bytes;
-        let payload = 8 * slot.nnz;
-        payload_per_vec += payload;
-        cycle_ext.add(cyc as f64);
-        per_shard.push(ShardReport {
-            shard: i,
-            rows: slot.rows,
-            nnz: slot.nnz,
-            cycles: cyc,
-            indir_gbps: if cyc == 0 {
-                0.0
-            } else {
-                payload as f64 / cyc as f64
-            },
-            adapter: Default::default(),
-            dram: None,
-        });
-    }
-    let gather_cycles = gather_per_vec * n;
-    let collect_cycles = collect.cycles.round() as u64 * n;
-    let ys: Vec<Vec<f64>> = xs.iter().map(|x| plan.csr.spmv_fast(x)).collect();
-    let detail = ShardDetail {
-        units: plan.units,
-        gather_cycles,
-        collect_cycles,
-        aggregate_gbps: if gather_cycles == 0 {
-            0.0
-        } else {
-            (payload_per_vec * n) as f64 / gather_cycles as f64
-        },
-        nnz_imbalance: plan.partition.nnz_imbalance(),
-        cycle_imbalance: cycle_ext.imbalance(),
-        bus_imbalance: bus_ext.imbalance(),
-        scatter: Default::default(),
-        dram: None,
-        per_shard,
-    };
-    RunReport {
-        label: sharded_label(plan),
-        cycles: gather_cycles + collect_cycles,
-        vectors: xs.len(),
-        indir_cycles: gather_cycles,
-        nnz: plan.csr.nnz() as u64,
-        entries: plan.csr.nnz() as u64,
-        offchip_bytes: (shard_bytes + collect.offchip_bytes) * n,
-        ideal_bytes: base_ideal_bytes(&plan.csr, n),
-        verified: true,
-        ys,
-        shards: Some(detail),
-    }
-}
-
-fn analytic_sharded_iter(plan: &mut ShardedPlan, x: &[f64], y: &mut [f64]) -> IterReport {
-    let (shard_costs, collect) = analytic_sharded_costs(plan);
-    let gather = shard_costs
-        .iter()
-        .map(|c| c.cycles.round() as u64)
-        .max()
-        .unwrap_or(0);
-    let shard_bytes: u64 = shard_costs.iter().map(|c| c.offchip_bytes).sum();
-    plan.csr.spmv_fast_into(x, y);
-    IterReport {
-        cycles: gather + collect.cycles.round() as u64,
-        indir_cycles: gather,
-        offchip_bytes: shard_bytes + collect.offchip_bytes,
     }
 }
 

@@ -20,21 +20,20 @@
 //!
 //! The simulation moves real data end to end: the packed vector values
 //! delivered by the adapter are combined with the nonzeros to produce the
-//! result vector, which is checked against the golden CSR/SELL SpMV.
+//! result vector, which must be bit-identical to the golden [`Sell::spmv`].
 
 use nmpic_axi::{ElemSize, PackRequest, Unpacker};
-use nmpic_core::{AdapterConfig, IndirectStreamUnit};
-use nmpic_mem::{BackendConfig, ChannelPort, Memory, WideRequest, BLOCK_BYTES};
+use nmpic_core::IndirectStreamUnit;
+use nmpic_mem::{ChannelPort, WideRequest, BLOCK_BYTES};
 use nmpic_sparse::Sell;
 
-use crate::report::{golden_x, results_match, SpmvReport};
+use crate::IterReport;
 
-/// Configuration of the pack system.
+/// Configuration of the pack system (set through
+/// [`crate::SpmvEngineBuilder::pack_config`]; the adapter comes from
+/// [`crate::SystemKind::Pack`] and the memory backend is the engine's).
 #[derive(Debug, Clone)]
 pub struct PackConfig {
-    /// Adapter variant (pack0 = `MLPnc`, pack64 = `MLP64`, pack256 =
-    /// `MLP256`).
-    pub adapter: AdapterConfig,
     /// Total L2 scratchpad bytes, split into six equal arrays (Table I:
     /// 384 kB).
     pub l2_bytes: usize,
@@ -42,21 +41,9 @@ pub struct PackConfig {
     /// lanes the 512 b L2 port feeds two 64 b operand streams at 8
     /// elements/cycle combined → 4 MACs/cycle sustained.
     pub compute_elems_per_cycle: f64,
-    /// Memory backend (defaults to the paper's single HBM2 channel).
-    pub backend: BackendConfig,
 }
 
 impl PackConfig {
-    /// The paper's pack system with the given adapter variant.
-    pub fn with_adapter(adapter: AdapterConfig) -> Self {
-        Self {
-            adapter,
-            l2_bytes: 384 * 1024,
-            compute_elems_per_cycle: 4.0,
-            backend: BackendConfig::hbm(),
-        }
-    }
-
     /// Entries per tile: one L2 array (a sixth of the scratchpad) of 64 b
     /// values.
     pub fn tile_entries(&self) -> usize {
@@ -75,8 +62,12 @@ impl PackConfig {
 }
 
 impl Default for PackConfig {
+    /// The paper's pack system (Table I).
     fn default() -> Self {
-        Self::with_adapter(AdapterConfig::mlp(256))
+        Self {
+            l2_bytes: 384 * 1024,
+            compute_elems_per_cycle: 4.0,
+        }
     }
 }
 
@@ -86,44 +77,6 @@ enum Stage {
     Val,
     /// Indirect packed-element burst for batch vector `b`.
     Indirect(usize),
-}
-
-/// Runs tiled SELL SpMV on the pack system and reports Fig. 5 metrics.
-///
-/// # Panics
-///
-/// Panics on an empty matrix or if the simulation exceeds its cycle
-/// budget (model deadlock).
-///
-/// # Example
-///
-/// ```
-/// use nmpic_core::AdapterConfig;
-/// use nmpic_sparse::{gen::banded_fem, Sell};
-/// # #[allow(deprecated)]
-/// use nmpic_system::{run_pack_spmv, PackConfig};
-///
-/// let sell = Sell::from_csr_default(&banded_fem(128, 6, 16, 1));
-/// # #[allow(deprecated)]
-/// let r = run_pack_spmv(&sell, &PackConfig::with_adapter(AdapterConfig::mlp(64)));
-/// assert!(r.verified, "simulated result must match the golden SpMV");
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "build a session instead: `SpmvEngine::builder().backend(..)\
-            .system(SystemKind::Pack(adapter)).build().prepare_sell(sell).run(&x)` \
-            (see README § Engine API)"
-)]
-pub fn run_pack_spmv(sell: &Sell, cfg: &PackConfig) -> SpmvReport {
-    let mut chan = cfg.backend.build(Memory::new(pack_memory_size(sell)));
-    #[allow(deprecated)]
-    run_pack_spmv_on(&mut *chan, sell, cfg)
-}
-
-/// Memory footprint needed by [`run_pack_spmv_on`] for a matrix (the six
-/// logical arrays' home locations plus slack), rounded to a power of two.
-pub fn pack_memory_size(sell: &Sell) -> usize {
-    pack_plan_memory_size(sell, 1)
 }
 
 /// Memory footprint for a prepared pack plan holding `slots` resident
@@ -136,55 +89,6 @@ pub(crate) fn pack_plan_memory_size(sell: &Sell, slots: usize) -> usize {
         + slots * 8 * (sell.cols() + sell.rows()) as u64
         + 16384;
     (need.next_multiple_of(BLOCK_BYTES as u64) as usize).next_power_of_two()
-}
-
-/// Generic-backend variant of [`run_pack_spmv`]: runs the pack system
-/// against any [`ChannelPort`] built by [`nmpic_mem::build_backend`]. The
-/// channel's backing memory must be at least [`pack_memory_size`] bytes
-/// and is laid out by this function.
-///
-/// # Panics
-///
-/// Panics on an empty matrix, an undersized channel memory, or a
-/// cycle-budget overrun (model deadlock).
-#[deprecated(
-    since = "0.2.0",
-    note = "build a session instead: `SpmvEngine::builder().backend(..)\
-            .system(SystemKind::Pack(adapter)).build().prepare_sell(sell).run(&x)` \
-            (see README § Engine API)"
-)]
-pub fn run_pack_spmv_on(chan: &mut dyn ChannelPort, sell: &Sell, cfg: &PackConfig) -> SpmvReport {
-    let data_bytes_before = chan.data_bytes();
-    let layout = layout_pack(chan, sell, 1);
-    let x: Vec<f64> = (0..sell.cols()).map(golden_x).collect();
-    write_pack_vector(chan, &layout, 0, &x);
-    let row_of = row_map(sell);
-    let mut unit = IndirectStreamUnit::new(cfg.adapter.clone());
-    let mut y = vec![0.0f64; sell.rows()];
-    let run = exec_pack(
-        chan,
-        &mut unit,
-        sell,
-        cfg,
-        &layout,
-        &row_of,
-        &[&x],
-        &mut [&mut y],
-    );
-    let want = sell.spmv(&x);
-    let verified = results_match(&y, &want);
-    #[allow(deprecated)]
-    let label = pack_label(&cfg.adapter);
-    SpmvReport {
-        label,
-        cycles: run.cycles,
-        indir_cycles: run.indir_cycles,
-        nnz: sell.nnz() as u64,
-        entries: sell.padded_len() as u64,
-        offchip_bytes: chan.data_bytes() - data_bytes_before,
-        ideal_bytes: pack_ideal_bytes(sell, 1),
-        verified,
-    }
 }
 
 /// DRAM home locations of the pack system's arrays. `vec_bases[s]` /
@@ -245,19 +149,14 @@ pub(crate) fn pack_ideal_bytes(sell: &Sell, vectors: u64) -> u64 {
         + vectors * 8 * (sell.cols() + sell.rows()) as u64
 }
 
-/// One pack execution's measurements (a batch counts as one execution).
-pub(crate) struct PackRun {
-    pub(crate) cycles: u64,
-    pub(crate) indir_cycles: u64,
-}
-
 /// Executes tiled SELL SpMV for `xs.len()` vectors against an already
 /// laid-out memory image, starting the channel clock at 0. Per tile, the
 /// slice-pointer and nonzero bursts run once and are followed by one
 /// indirect burst + accumulation pass per vector. Results are written
 /// into the caller's `ys` buffers (one per vector, overwritten) so a
 /// solver loop reuses one preallocated buffer instead of receiving
-/// fresh vectors per call.
+/// fresh vectors per call. The returned cost covers the whole batch; its
+/// off-chip bytes are the channel's traffic since its last reset.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_pack(
     chan: &mut dyn ChannelPort,
@@ -268,7 +167,7 @@ pub(crate) fn exec_pack(
     row_of_pos: &[u32],
     xs: &[&[f64]],
     ys: &mut [&mut [f64]],
-) -> PackRun {
+) -> IterReport {
     assert!(sell.padded_len() > 0, "empty matrix");
     let b_n = xs.len();
     assert!(b_n >= 1, "at least one vector");
@@ -446,17 +345,11 @@ pub(crate) fn exec_pack(
         );
     }
 
-    PackRun {
+    IterReport {
         cycles: now,
         indir_cycles,
+        offchip_bytes: chan.data_bytes(),
     }
-}
-
-/// Paper-style system label for an adapter variant (`pack0`, `pack64`,
-/// `pack256`, `packSEQ64`, ...).
-#[deprecated(since = "0.2.0", note = "use `AdapterConfig::label()` instead")]
-pub fn pack_label(adapter: &AdapterConfig) -> String {
-    adapter.label()
 }
 
 /// Maps each padded SELL stream position to its row.
@@ -498,13 +391,29 @@ fn complete_rows(sell: &Sell, pos: usize) -> usize {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::{golden_x, RunReport, SpmvEngine, SystemKind};
+    use nmpic_core::AdapterConfig;
     use nmpic_sparse::gen::{banded_fem, circuit};
 
     fn sell(rows: usize) -> Sell {
         Sell::from_csr_default(&banded_fem(rows, 8, 32, 5))
+    }
+
+    /// One cold pack run over the golden vector on one HBM channel.
+    pub(super) fn run_pack(sell: &Sell, adapter: AdapterConfig, cfg: PackConfig) -> RunReport {
+        let x: Vec<f64> = (0..sell.cols()).map(golden_x).collect();
+        SpmvEngine::builder()
+            .system(SystemKind::Pack(adapter))
+            .pack_config(cfg)
+            .build()
+            .prepare_sell(sell)
+            .run(&x)
+    }
+
+    pub(super) fn run_default(sell: &Sell, adapter: AdapterConfig) -> RunReport {
+        run_pack(sell, adapter, PackConfig::default())
     }
 
     #[test]
@@ -515,7 +424,7 @@ mod tests {
             AdapterConfig::mlp(64),
             AdapterConfig::mlp(256),
         ] {
-            let r = run_pack_spmv(&s, &PackConfig::with_adapter(adapter));
+            let r = run_default(&s, adapter);
             assert!(r.verified, "datapath mismatch for {}", r.label);
             assert!(r.cycles > 0);
         }
@@ -524,8 +433,8 @@ mod tests {
     #[test]
     fn coalescer_speeds_up_spmv() {
         let s = Sell::from_csr_default(&banded_fem(2048, 12, 64, 11));
-        let r0 = run_pack_spmv(&s, &PackConfig::with_adapter(AdapterConfig::mlp_nc()));
-        let r256 = run_pack_spmv(&s, &PackConfig::with_adapter(AdapterConfig::mlp(256)));
+        let r0 = run_default(&s, AdapterConfig::mlp_nc());
+        let r256 = run_default(&s, AdapterConfig::mlp(256));
         assert!(r0.verified && r256.verified);
         let speedup = r256.speedup_over(&r0);
         assert!(
@@ -541,8 +450,8 @@ mod tests {
     #[test]
     fn traffic_ratio_drops_with_coalescing() {
         let s = Sell::from_csr_default(&banded_fem(2048, 12, 64, 13));
-        let r0 = run_pack_spmv(&s, &PackConfig::with_adapter(AdapterConfig::mlp_nc()));
-        let r256 = run_pack_spmv(&s, &PackConfig::with_adapter(AdapterConfig::mlp(256)));
+        let r0 = run_default(&s, AdapterConfig::mlp_nc());
+        let r256 = run_default(&s, AdapterConfig::mlp(256));
         assert!(
             r0.traffic_ratio() > 2.0 * r256.traffic_ratio(),
             "pack0 {:.2}x vs pack256 {:.2}x",
@@ -555,23 +464,15 @@ mod tests {
     #[test]
     fn circuit_matrix_verifies_too() {
         let s = Sell::from_csr_default(&circuit(512, 4, 16, 0.1, 4, 3));
-        let r = run_pack_spmv(&s, &PackConfig::with_adapter(AdapterConfig::mlp(64)));
+        let r = run_default(&s, AdapterConfig::mlp(64));
         assert!(r.verified);
     }
 
     #[test]
     fn label_follows_paper_convention() {
-        assert_eq!(pack_label(&AdapterConfig::mlp_nc()), "pack0");
-        assert_eq!(pack_label(&AdapterConfig::mlp(64)), "pack64");
-        assert_eq!(pack_label(&AdapterConfig::seq(256)), "packSEQ256");
-        // The deprecated free function and the config method agree.
-        for a in [
-            AdapterConfig::mlp_nc(),
-            AdapterConfig::mlp(64),
-            AdapterConfig::seq(256),
-        ] {
-            assert_eq!(pack_label(&a), a.label());
-        }
+        assert_eq!(AdapterConfig::mlp_nc().label(), "pack0");
+        assert_eq!(AdapterConfig::mlp(64).label(), "pack64");
+        assert_eq!(AdapterConfig::seq(256).label(), "packSEQ256");
     }
 
     #[test]
@@ -596,8 +497,8 @@ mod tests {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod behaviour_tests {
+    use super::tests::{run_default, run_pack};
     use super::*;
     use nmpic_core::AdapterConfig;
     use nmpic_sparse::gen::banded_fem;
@@ -620,10 +521,11 @@ mod behaviour_tests {
     #[test]
     fn smaller_l2_means_more_tiles_but_same_result() {
         let sell = Sell::from_csr_default(&banded_fem(1024, 10, 48, 21));
-        let big = run_pack_spmv(&sell, &PackConfig::default());
-        let small = run_pack_spmv(
+        let big = run_default(&sell, AdapterConfig::mlp(256));
+        let small = run_pack(
             &sell,
-            &PackConfig {
+            AdapterConfig::mlp(256),
+            PackConfig {
                 l2_bytes: 48 * 1024,
                 ..PackConfig::default()
             },
@@ -640,11 +542,12 @@ mod behaviour_tests {
         // coalescer can no longer speed things up much.
         let sell = Sell::from_csr_default(&banded_fem(1024, 10, 48, 22));
         let slow = |adapter| {
-            run_pack_spmv(
+            run_pack(
                 &sell,
-                &PackConfig {
+                adapter,
+                PackConfig {
                     compute_elems_per_cycle: 0.1,
-                    ..PackConfig::with_adapter(adapter)
+                    ..PackConfig::default()
                 },
             )
         };
@@ -656,8 +559,8 @@ mod behaviour_tests {
             "compute-bound: coalescer gain should collapse, got {gain:.2}"
         );
         // While at the default compute rate the gain is large.
-        let fast0 = run_pack_spmv(&sell, &PackConfig::with_adapter(AdapterConfig::mlp_nc()));
-        let fast256 = run_pack_spmv(&sell, &PackConfig::with_adapter(AdapterConfig::mlp(256)));
+        let fast0 = run_default(&sell, AdapterConfig::mlp_nc());
+        let fast256 = run_default(&sell, AdapterConfig::mlp(256));
         assert!(fast0.cycles as f64 / fast256.cycles as f64 > 2.0);
     }
 
@@ -665,7 +568,7 @@ mod behaviour_tests {
     fn indir_cycles_bounded_by_runtime() {
         let sell = Sell::from_csr_default(&banded_fem(512, 8, 32, 23));
         for adapter in [AdapterConfig::mlp_nc(), AdapterConfig::mlp(256)] {
-            let r = run_pack_spmv(&sell, &PackConfig::with_adapter(adapter));
+            let r = run_default(&sell, adapter);
             assert!(r.indir_cycles <= r.cycles);
             assert!(r.indir_cycles > 0);
         }
@@ -674,8 +577,8 @@ mod behaviour_tests {
     #[test]
     fn gflops_scales_with_speedup() {
         let sell = Sell::from_csr_default(&banded_fem(1024, 10, 48, 24));
-        let p0 = run_pack_spmv(&sell, &PackConfig::with_adapter(AdapterConfig::mlp_nc()));
-        let p256 = run_pack_spmv(&sell, &PackConfig::with_adapter(AdapterConfig::mlp(256)));
+        let p0 = run_default(&sell, AdapterConfig::mlp_nc());
+        let p256 = run_default(&sell, AdapterConfig::mlp(256));
         let ratio = p256.gflops() / p0.gflops();
         let speedup = p256.speedup_over(&p0);
         assert!((ratio - speedup).abs() < 1e-9, "same nnz, so equal");

@@ -14,34 +14,28 @@
 //!    SparseP-style) or [`nmpic_sparse::partition::by_rows`].
 //! 2. **Gather + compute** — each shard gets its own
 //!    [`IndirectStreamUnit`] bound to its slice of the memory system
-//!    ([`BackendConfig::split`]), gathers `x[col]` for its portion of the
-//!    index stream, and accumulates its rows of `y`. Units share nothing,
-//!    so the phase's latency is the **slowest** shard's latency — the
-//!    quantity the imbalance metrics explain.
+//!    ([`nmpic_mem::BackendConfig::split`]), gathers `x[col]` for its
+//!    portion of the index stream, and accumulates its rows of `y`. Units
+//!    share nothing, so the phase's latency is the **slowest** shard's
+//!    latency — the quantity the imbalance metrics explain.
 //! 3. **Merged collection** — completed rows from all shards merge
 //!    through a [`MergedCollector`] (round-robin
 //!    [`nmpic_core::ShardArbiter`] order) into one [`ScatterUnit`] burst
 //!    that writes the global result array with coalesced wide writes.
 //!
-//! The engine moves real data end to end: the result array read back
-//! from the collection channel must be **byte-identical** to the golden
-//! [`Csr::spmv`] (shards accumulate in the same per-row order, so even
-//! floating-point rounding matches).
+//! The engine moves real data end to end: the merged result, and the
+//! result array read back from the collection channel, must be
+//! **byte-identical** to the golden [`nmpic_sparse::Csr::spmv`] (shards
+//! accumulate in the same per-row order, so even floating-point rounding
+//! matches).
 
 use std::fmt;
 use std::str::FromStr;
 
 use nmpic_axi::{ElemSize, PackRequest, Packer, Unpacker};
-use nmpic_core::{
-    AdapterConfig, AdapterStats, IndirectStreamUnit, MergedCollector, ScatterRequest, ScatterStats,
-    ScatterUnit,
-};
-use nmpic_mem::{BackendConfig, ChannelPort, HbmStats, BLOCK_BYTES};
+use nmpic_core::{AdapterStats, IndirectStreamUnit, MergedCollector, ScatterRequest, ScatterUnit};
+use nmpic_mem::{ChannelPort, HbmStats, BLOCK_BYTES};
 use nmpic_sparse::partition::Partition;
-use nmpic_sparse::Csr;
-
-use crate::engine::{SpmvEngine, SystemKind};
-use crate::report::golden_x;
 
 /// How rows are divided across units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -94,40 +88,7 @@ impl FromStr for PartitionStrategy {
     }
 }
 
-/// Configuration of the sharded engine.
-#[derive(Debug, Clone)]
-pub struct ShardedConfig {
-    /// Number of parallel indexing/coalescing units (K ≥ 1).
-    pub units: usize,
-    /// Adapter variant instantiated per unit.
-    pub adapter: AdapterConfig,
-    /// The **total** memory system; each unit drives
-    /// [`BackendConfig::split`]`(units)` of it.
-    pub backend: BackendConfig,
-    /// Row partitioning strategy.
-    pub strategy: PartitionStrategy,
-}
-
-impl ShardedConfig {
-    /// `units` MLP256 units over an 8-channel interleaved HBM stack —
-    /// the scaling-study configuration.
-    pub fn new(units: usize) -> Self {
-        Self {
-            units,
-            adapter: AdapterConfig::mlp(256),
-            backend: BackendConfig::interleaved(8),
-            strategy: PartitionStrategy::ByNnz,
-        }
-    }
-
-    /// Aggregate peak bytes/cycle across all units' backend slices.
-    pub fn peak_bytes_per_cycle(&self) -> u64 {
-        self.backend.split(self.units).peak_bytes_per_cycle() * self.units as u64
-    }
-}
-
-/// Per-shard measurement inside a [`ShardedReport`] or a
-/// [`crate::ShardDetail`].
+/// Per-shard measurement inside a [`crate::ShardDetail`].
 #[derive(Debug, Clone)]
 pub struct ShardReport {
     /// Shard index.
@@ -144,115 +105,6 @@ pub struct ShardReport {
     pub adapter: AdapterStats,
     /// DRAM statistics of this unit's backend slice, when modelled.
     pub dram: Option<HbmStats>,
-}
-
-/// Result of one sharded SpMV run (the legacy report type; the session
-/// API returns the unified [`crate::RunReport`] instead).
-#[derive(Debug, Clone)]
-pub struct ShardedReport {
-    /// `sharded x{K} ({adapter label}, {backend})`.
-    pub label: String,
-    /// Number of units.
-    pub units: usize,
-    /// Gather-phase latency: the slowest unit's cycle count.
-    pub gather_cycles: u64,
-    /// Merged write-back phase latency.
-    pub collect_cycles: u64,
-    /// End-to-end latency (`gather + collect`; collection starts once the
-    /// slowest unit has drained).
-    pub cycles: u64,
-    /// Total stored nonzeros.
-    pub nnz: u64,
-    /// Aggregate delivered indirect bandwidth: payload bytes of all units
-    /// over the gather-phase latency, in GB/s at 1 GHz. This is the
-    /// number that breaks past one unit's 64 GB/s upstream-port cap.
-    pub aggregate_gbps: f64,
-    /// Cross-shard nonzero imbalance (`max/mean`, 1.0 = perfect).
-    pub nnz_imbalance: f64,
-    /// Cross-shard gather-cycle imbalance.
-    pub cycle_imbalance: f64,
-    /// Cross-shard DRAM bus-busy imbalance (1.0 when DRAM is not
-    /// modelled).
-    pub bus_imbalance: f64,
-    /// Write-back scatter statistics (merged collection).
-    pub scatter: ScatterStats,
-    /// DRAM statistics merged across every unit's backend slice.
-    pub dram: Option<HbmStats>,
-    /// Per-shard detail rows.
-    pub per_shard: Vec<ShardReport>,
-    /// The computed result vector (for cross-run equivalence checks).
-    pub y: Vec<f64>,
-    /// `true` iff the written-back result array is byte-identical to the
-    /// golden [`Csr::spmv`].
-    pub verified: bool,
-}
-
-impl ShardedReport {
-    /// The result vector as raw bit patterns — byte-identity checks
-    /// across unit counts and backends compare these.
-    pub fn y_bits(&self) -> Vec<u64> {
-        self.y.iter().map(|v| v.to_bits()).collect()
-    }
-}
-
-/// Runs CSR SpMV on K parallel units over an nnz-balanced row partition
-/// and merges the result through one coalescing scatter unit.
-///
-/// # Panics
-///
-/// Panics on an empty matrix, a zero unit count, or a cycle-budget
-/// overrun in any phase (model deadlock).
-///
-/// # Example
-///
-/// ```
-/// use nmpic_sparse::gen::banded_fem;
-/// # #[allow(deprecated)]
-/// use nmpic_system::{run_sharded_spmv, ShardedConfig};
-///
-/// let csr = banded_fem(256, 6, 16, 1);
-/// # #[allow(deprecated)]
-/// let r = run_sharded_spmv(&csr, &ShardedConfig::new(4));
-/// assert!(r.verified, "result array must match the golden SpMV bytes");
-/// assert_eq!(r.per_shard.len(), 4);
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "build a session instead: `SpmvEngine::builder().backend(..)\
-            .system(SystemKind::Sharded { units, strategy }).build().prepare(csr).run(&x)` \
-            (see README § Engine API)"
-)]
-pub fn run_sharded_spmv(csr: &Csr, cfg: &ShardedConfig) -> ShardedReport {
-    let engine = SpmvEngine::builder()
-        .backend(cfg.backend.clone())
-        .system(SystemKind::Sharded {
-            units: cfg.units,
-            strategy: cfg.strategy,
-        })
-        .sharded_adapter(cfg.adapter.clone())
-        .build();
-    let mut plan = engine.prepare(csr);
-    let x: Vec<f64> = (0..csr.cols()).map(golden_x).collect();
-    let mut report = plan.run(&x);
-    // nmpic-lint: allow(L2) — invariant: plans prepared with SystemKind::Sharded always populate `shards`
-    let detail = report.shards.take().expect("sharded plan carries detail");
-    ShardedReport {
-        label: report.label,
-        units: detail.units,
-        gather_cycles: detail.gather_cycles,
-        collect_cycles: detail.collect_cycles,
-        cycles: report.cycles,
-        nnz: report.nnz,
-        aggregate_gbps: detail.aggregate_gbps,
-        nnz_imbalance: detail.nnz_imbalance,
-        cycle_imbalance: detail.cycle_imbalance,
-        bus_imbalance: detail.bus_imbalance,
-        scatter: detail.scatter,
-        dram: detail.dram,
-        per_shard: detail.per_shard,
-        y: report.ys.swap_remove(0),
-        verified: report.verified,
-    }
 }
 
 /// Builds the merged write-back row order for a partition: each shard
@@ -325,31 +177,10 @@ pub(crate) fn exec_shard_gather(
     (now, unit.stats(), chan.dram_stats())
 }
 
-/// [`exec_merged_writeback`] plus a read-back of the result array's
-/// per-row bits, for golden verification. Returns
-/// `(cycles, scatter stats, per-row result bits)`.
-pub(crate) fn exec_merged_collection(
-    chan: &mut dyn ChannelPort,
-    unit: &mut ScatterUnit,
-    idx_base: u64,
-    res_base: u64,
-    bits_in_order: &[u64],
-    rows: usize,
-) -> (u64, ScatterStats, Vec<u64>) {
-    let (now, stats) = exec_merged_writeback(chan, unit, idx_base, res_base, bits_in_order, rows);
-    let result_bits = (0..rows as u64)
-        .map(|r| chan.memory().read_u64(res_base + 8 * r))
-        .collect();
-    (now, stats, result_bits)
-}
-
 /// Streams the merged result bits through a **warm** scatter unit (the
 /// caller resets the channel and unit; the merge-order index array at
 /// `idx_base` was written at prepare time) into the result array.
-/// Returns `(cycles, scatter stats)` without reading the array back —
-/// the allocation-free collection path [`crate::SpmvPlan::run_into`]
-/// uses (the caller already holds the merged `y`; the read-back only
-/// serves golden verification).
+/// Returns the phase's cycles; the unit keeps its scatter statistics.
 pub(crate) fn exec_merged_writeback(
     chan: &mut dyn ChannelPort,
     unit: &mut ScatterUnit,
@@ -357,7 +188,7 @@ pub(crate) fn exec_merged_writeback(
     res_base: u64,
     bits_in_order: &[u64],
     rows: usize,
-) -> (u64, ScatterStats) {
+) -> u64 {
     unit.begin(ScatterRequest {
         idx_base,
         idx_size: ElemSize::B4,
@@ -399,23 +230,56 @@ pub(crate) fn exec_merged_writeback(
             "merged collection deadlock after {now} cycles"
         );
     }
-
-    (now, unit.stats())
+    now
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::{golden_x, RunReport, ShardDetail, SpmvEngine, SystemKind};
+    use nmpic_mem::BackendConfig;
     use nmpic_sparse::gen::{banded_fem, circuit};
+    use nmpic_sparse::Csr;
+
+    /// One cold sharded run over the golden vector: `units` MLP256 units
+    /// on `backend`.
+    fn run_on(
+        csr: &Csr,
+        units: usize,
+        strategy: PartitionStrategy,
+        backend: BackendConfig,
+    ) -> RunReport {
+        let x: Vec<f64> = (0..csr.cols()).map(golden_x).collect();
+        SpmvEngine::builder()
+            .backend(backend)
+            .system(SystemKind::Sharded { units, strategy })
+            .build()
+            .prepare(csr)
+            .run(&x)
+    }
+
+    /// The scaling-study configuration: nnz-balanced shards over an
+    /// 8-channel interleaved HBM stack.
+    fn run(csr: &Csr, units: usize) -> RunReport {
+        run_on(
+            csr,
+            units,
+            PartitionStrategy::ByNnz,
+            BackendConfig::interleaved(8),
+        )
+    }
+
+    fn detail(r: &RunReport) -> &ShardDetail {
+        r.shards().expect("sharded plans carry detail")
+    }
 
     #[test]
     fn sharded_result_is_byte_identical_across_unit_counts() {
         let csr = circuit(384, 4, 24, 0.1, 5, 11);
-        let baseline = run_sharded_spmv(&csr, &ShardedConfig::new(1));
+        let baseline = run(&csr, 1);
         assert!(baseline.verified);
         for units in [2, 3, 4, 8] {
-            let r = run_sharded_spmv(&csr, &ShardedConfig::new(units));
+            let r = run(&csr, units);
             assert!(r.verified, "x{units} failed golden verification");
             assert_eq!(r.y_bits(), baseline.y_bits(), "x{units} diverged");
         }
@@ -431,11 +295,7 @@ mod tests {
             BackendConfig::interleaved(4),
         ] {
             for units in [1usize, 4] {
-                let cfg = ShardedConfig {
-                    backend: backend.clone(),
-                    ..ShardedConfig::new(units)
-                };
-                let r = run_sharded_spmv(&csr, &cfg);
+                let r = run_on(&csr, units, PartitionStrategy::ByNnz, backend.clone());
                 assert!(r.verified, "{} x{units}", backend.label());
                 match &references {
                     Some(bits) => assert_eq!(&r.y_bits(), bits, "{}", backend.label()),
@@ -448,20 +308,21 @@ mod tests {
     #[test]
     fn more_units_cut_gather_latency_and_raise_aggregate_bandwidth() {
         let csr = banded_fem(2048, 10, 48, 3);
-        let r1 = run_sharded_spmv(&csr, &ShardedConfig::new(1));
-        let r4 = run_sharded_spmv(&csr, &ShardedConfig::new(4));
+        let r1 = run(&csr, 1);
+        let r4 = run(&csr, 4);
         assert!(r1.verified && r4.verified);
+        let (d1, d4) = (detail(&r1), detail(&r4));
         assert!(
-            r4.gather_cycles < r1.gather_cycles,
+            d4.gather_cycles < d1.gather_cycles,
             "4 units must drain faster: {} vs {}",
-            r4.gather_cycles,
-            r1.gather_cycles
+            d4.gather_cycles,
+            d1.gather_cycles
         );
         assert!(
-            r4.aggregate_gbps > r1.aggregate_gbps,
+            d4.aggregate_gbps > d1.aggregate_gbps,
             "aggregate bandwidth must rise: {:.1} vs {:.1}",
-            r4.aggregate_gbps,
-            r1.aggregate_gbps
+            d4.aggregate_gbps,
+            d1.aggregate_gbps
         );
     }
 
@@ -486,21 +347,11 @@ mod tests {
     #[test]
     fn by_nnz_beats_by_rows_on_skewed_matrices() {
         let csr = skewed(512);
-        let nnz = run_sharded_spmv(
-            &csr,
-            &ShardedConfig {
-                strategy: PartitionStrategy::ByNnz,
-                ..ShardedConfig::new(4)
-            },
-        );
-        let rows = run_sharded_spmv(
-            &csr,
-            &ShardedConfig {
-                strategy: PartitionStrategy::ByRows,
-                ..ShardedConfig::new(4)
-            },
-        );
+        let backend = BackendConfig::interleaved(8);
+        let nnz = run_on(&csr, 4, PartitionStrategy::ByNnz, backend.clone());
+        let rows = run_on(&csr, 4, PartitionStrategy::ByRows, backend);
         assert!(nnz.verified && rows.verified);
+        let (nnz, rows) = (detail(&nnz), detail(&rows));
         // Equal rows put all dense rows in shard 0: imbalance ≈ 2.6.
         assert!(
             nnz.nnz_imbalance < 1.1 && rows.nnz_imbalance > 2.0,
@@ -519,16 +370,17 @@ mod tests {
     #[test]
     fn report_accounts_phases_and_stats() {
         let csr = banded_fem(256, 6, 16, 5);
-        let r = run_sharded_spmv(&csr, &ShardedConfig::new(2));
-        assert_eq!(r.cycles, r.gather_cycles + r.collect_cycles);
-        assert!(r.collect_cycles > 0);
+        let r = run(&csr, 2);
+        let d = detail(&r);
+        assert_eq!(r.cycles, d.gather_cycles + d.collect_cycles);
+        assert!(d.collect_cycles > 0);
         assert_eq!(r.nnz, csr.nnz() as u64);
-        assert!(r.nnz_imbalance >= 1.0 && r.cycle_imbalance >= 1.0);
-        assert_eq!(r.scatter.elements_in, csr.rows() as u64);
-        assert!(r.scatter.coalesce_rate() > 2.0, "rows coalesce into lines");
-        let dram = r.dram.expect("hbm-backed run has dram stats");
+        assert!(d.nnz_imbalance >= 1.0 && d.cycle_imbalance >= 1.0);
+        assert_eq!(d.scatter.elements_in, csr.rows() as u64);
+        assert!(d.scatter.coalesce_rate() > 2.0, "rows coalesce into lines");
+        let dram = d.dram.expect("hbm-backed run has dram stats");
         assert!(dram.reads > 0);
-        assert_eq!(r.per_shard.len(), 2);
+        assert_eq!(d.per_shard.len(), 2);
         assert!(r.label.contains("sharded x2"));
     }
 
@@ -536,22 +388,19 @@ mod tests {
     fn empty_shards_are_tolerated() {
         // 8 units over 3 rows: most shards own nothing.
         let csr = banded_fem(3, 2, 4, 1);
-        let r = run_sharded_spmv(&csr, &ShardedConfig::new(8));
+        let r = run(&csr, 8);
         assert!(r.verified);
-        assert_eq!(r.per_shard.iter().map(|s| s.nnz).sum::<u64>(), r.nnz);
+        assert_eq!(
+            detail(&r).per_shard.iter().map(|s| s.nnz).sum::<u64>(),
+            r.nnz
+        );
     }
 
     #[test]
     #[should_panic(expected = "at least one unit")]
     fn zero_units_panics() {
         let csr = banded_fem(8, 2, 4, 1);
-        let _ = run_sharded_spmv(
-            &csr,
-            &ShardedConfig {
-                units: 0,
-                ..ShardedConfig::new(1)
-            },
-        );
+        let _ = run(&csr, 0);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 # pushing. Mirrors .github/workflows/ci.yml job for job:
 #
 #   lint        cargo fmt --check + clippy -D warnings + -D deprecated
-#               on the bench/tests/examples targets (legacy-API gate),
+#               on the bench/tests/examples targets (no in-tree use of
+#               deprecated API),
 #               then nmpic-lint (workspace invariant checker: casts,
 #               panic paths, unordered floats, unsafe, Relaxed, clocks,
 #               unaudited service locks)
@@ -30,7 +31,7 @@ run_lint() {
     cargo fmt --all --check
     step "lint: clippy -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
-    step "lint: no deprecated API outside the shims"
+    step "lint: no in-tree use of deprecated API"
     RUSTFLAGS="-D deprecated" cargo check -p nmpic-bench --all-targets
     RUSTFLAGS="-D deprecated" cargo check -p nmpic --tests --examples
     step "lint: nmpic-lint workspace invariants"

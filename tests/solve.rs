@@ -7,9 +7,11 @@
 //!    SpMV result bytes, and every datapath reproduces the golden
 //!    accumulation bytes;
 //! 2. [`SpmvPlan::run_into`] results are byte-identical to
-//!    [`SpmvPlan::run`] on the same plan, while allocating into the
-//!    caller's buffer and (on the baseline) keeping matrix lines warm
-//!    across calls;
+//!    [`SpmvPlan::run`] on the same plan in both execution modes, with
+//!    the same simulated cost on a fresh plan (both go through the
+//!    plan's one execution path), while allocating into the caller's
+//!    buffer and (on the baseline) keeping matrix lines warm across
+//!    calls;
 //! 3. sharded solves are invariant to the worker count.
 
 use nmpic::core::AdapterConfig;
@@ -17,7 +19,7 @@ use nmpic::mem::BackendConfig;
 use nmpic::sparse::gen::spd;
 use nmpic::sparse::Csr;
 use nmpic::system::{
-    golden_x, PartitionStrategy, SolveOptions, Solver, SpmvEngine, SpmvPlan, SystemKind,
+    golden_x, ExecMode, PartitionStrategy, SolveOptions, Solver, SpmvEngine, SpmvPlan, SystemKind,
 };
 
 fn backends() -> Vec<BackendConfig> {
@@ -41,9 +43,14 @@ fn systems() -> Vec<SystemKind> {
 }
 
 fn plan_for(system: &SystemKind, backend: &BackendConfig, a: &Csr) -> SpmvPlan {
+    plan_in(ExecMode::CycleAccurate, system, backend, a)
+}
+
+fn plan_in(mode: ExecMode, system: &SystemKind, backend: &BackendConfig, a: &Csr) -> SpmvPlan {
     SpmvEngine::builder()
         .backend(backend.clone())
         .system(system.clone())
+        .exec_mode(mode)
         .build()
         .prepare(a)
 }
@@ -101,31 +108,41 @@ fn cg_trajectory_is_bitwise_identical_across_backends_and_systems() {
 }
 
 /// `run_into` must hand back exactly the bytes `run` would, for every
-/// system kind and backend, on the same warm plan — and repeated calls
-/// (the solver's reuse pattern) must stay byte-stable.
+/// exec mode, system kind and backend, on the same plan — and repeated
+/// calls (the solver's reuse pattern) must stay byte-stable. Both
+/// entries share one execution path, so on a freshly prepared plan the
+/// first `run_into` also costs exactly what the single-vector `run`
+/// after it reports.
 #[test]
 fn run_into_is_byte_identical_to_run() {
     let a = spd(96, 6, 8, 7);
     let x: Vec<f64> = (0..a.cols()).map(golden_x).collect();
-    for system in systems() {
-        for backend in backends() {
-            let label = format!("{system}/{}", backend.label());
-            let mut plan = plan_for(&system, &backend, &a);
-            let want = plan.run(&x);
-            assert!(want.verified, "{label}");
-            let mut y = vec![0.0f64; a.rows()];
-            let iter = plan.run_into(&x, &mut y);
-            assert_eq!(bits(&y), want.y_bits(), "{label}: run_into diverged");
-            assert!(iter.cycles > 0 && iter.offchip_bytes > 0, "{label}");
-            assert!(iter.indir_cycles <= iter.cycles, "{label}");
-            // The buffer is overwritten, not accumulated into: a dirty
-            // buffer yields the same bytes.
-            y.fill(f64::NAN);
-            plan.run_into(&x, &mut y);
-            assert_eq!(bits(&y), want.y_bits(), "{label}: dirty-buffer reuse");
-            // And a subsequent `run` on the same plan still agrees.
-            let again = plan.run(&x);
-            assert_eq!(again.y_bits(), want.y_bits(), "{label}: plan reuse");
+    for mode in [ExecMode::CycleAccurate, ExecMode::Analytic] {
+        for system in systems() {
+            for backend in backends() {
+                let label = format!("{mode}/{system}/{}", backend.label());
+                let mut plan = plan_in(mode, &system, &backend, &a);
+                let mut y = vec![0.0f64; a.rows()];
+                let iter = plan.run_into(&x, &mut y);
+                let want = plan.run(&x);
+                assert!(want.verified, "{label}");
+                assert_eq!(bits(&y), want.y_bits(), "{label}: run_into diverged");
+                assert_eq!(
+                    (iter.cycles, iter.indir_cycles, iter.offchip_bytes),
+                    (want.cycles, want.indir_cycles, want.offchip_bytes),
+                    "{label}: first run_into cost differs from run"
+                );
+                assert!(iter.cycles > 0 && iter.offchip_bytes > 0, "{label}");
+                assert!(iter.indir_cycles <= iter.cycles, "{label}");
+                // The buffer is overwritten, not accumulated into: a dirty
+                // buffer yields the same bytes.
+                y.fill(f64::NAN);
+                plan.run_into(&x, &mut y);
+                assert_eq!(bits(&y), want.y_bits(), "{label}: dirty-buffer reuse");
+                // And a subsequent `run` on the same plan still agrees.
+                let again = plan.run(&x);
+                assert_eq!(again.y_bits(), want.y_bits(), "{label}: plan reuse");
+            }
         }
     }
 }
