@@ -54,7 +54,7 @@ use std::str::FromStr;
 use nmpic_core::{
     stream_memory_size, AdapterConfig, AdapterStats, IndirectStreamUnit, ScatterStats, ScatterUnit,
 };
-use nmpic_mem::{BackendConfig, Cache, ChannelPort, HbmStats, Memory};
+use nmpic_mem::{BackendConfig, Cache, ChannelPort, HbmStats, Memory, BLOCK_BYTES};
 use nmpic_sim::stats::Extrema;
 use nmpic_sparse::partition::{by_nnz, by_rows, Partition};
 use nmpic_sparse::{Csr, Sell};
@@ -390,7 +390,9 @@ impl SpmvEngine {
     /// conversion (pack converts to SELL), and DRAM layout of the matrix
     /// image all happen here, **once** — every subsequent
     /// [`SpmvPlan::run`] reuses the warm state and rewrites only the
-    /// vector.
+    /// vector. An [`ExecMode::Analytic`] sharded plan is priced here
+    /// instead of laid out: its cost does not depend on vector values,
+    /// so its runs only execute the native kernel.
     ///
     /// # Panics
     ///
@@ -468,18 +470,56 @@ impl SpmvEngine {
             PartitionStrategy::ByNnz => by_nnz(csr, units),
             PartitionStrategy::ByRows => by_rows(csr, units),
         };
-        let per_unit_backend = self.backend.split(units);
         let slots: Vec<ShardSlot> = (0..units)
             .map(|i| {
                 let shard = partition.csr_shard(csr, i);
-                let indices = shard.col_idx();
+                let (idx_base, x_base) = unit_layout(shard.nnz());
+                ShardSlot {
+                    idx_base,
+                    x_base,
+                    row_start: shard.rows().start,
+                    rows: shard.n_rows(),
+                    nnz: shard.nnz() as u64,
+                }
+            })
+            .collect();
+        // An analytic plan is priced here, once, and builds none of the
+        // simulated DRAM images it would never touch.
+        let exec = match self.exec_mode {
+            ExecMode::CycleAccurate => {
+                ShardedExec::Cycle(Box::new(self.shard_sim(csr, &partition, &slots)))
+            }
+            ExecMode::Analytic => self.analytic_costs(csr, &partition, &slots),
+        };
+        SpmvPlan {
+            exec: self.exec_mode,
+            inner: PlanInner::Sharded(Box::new(ShardedPlan {
+                adapter: self.sharded_adapter.clone(),
+                backend: self.backend.clone(),
+                units,
+                csr: csr.clone(),
+                partition,
+                slots,
+                workers: self.shard_workers,
+                exec,
+            })),
+        }
+    }
+
+    /// Lays out every unit's memory image of a cycle-accurate sharded
+    /// plan (index array written once, here) and the write-back path's
+    /// merge-order index array.
+    fn shard_sim(&self, csr: &Csr, partition: &Partition, slots: &[ShardSlot]) -> ShardSim {
+        let per_unit_backend = self.backend.split(slots.len());
+        let units = slots
+            .iter()
+            .enumerate()
+            .map(|(i, slot)| {
+                let shard = partition.csr_shard(csr, i);
                 let mut chan = per_unit_backend
-                    .build(Memory::new(stream_memory_size(indices.len(), csr.cols())));
-                let mem = chan.memory_mut();
-                let idx_base = mem.alloc_array(indices.len().max(1) as u64, 4);
-                let x_base = mem.alloc_array(csr.cols() as u64, 8);
-                mem.write_u32_slice(idx_base, indices);
-                let row_start = shard.rows().start;
+                    .build(Memory::new(stream_memory_size(shard.nnz(), csr.cols())));
+                chan.memory_mut()
+                    .write_u32_slice(slot.idx_base, shard.col_idx());
                 // Stream positions map to rows *local to the shard*, so a
                 // worker thread can accumulate into its own buffer and the
                 // merge can place it by `row_start` — the per-worker unit
@@ -488,18 +528,13 @@ impl SpmvEngine {
                     .row_of_positions()
                     .iter()
                     // nmpic-lint: allow(L1) — in range: row_start ≤ every id in the (checked 32 b) position map, so the cast and subtraction cannot wrap
-                    .map(|&r| r - row_start as u32)
+                    .map(|&r| r - slot.row_start as u32)
                     .collect();
-                ShardSlot {
+                UnitSim {
                     chan,
                     unit: IndirectStreamUnit::new(self.sharded_adapter.clone()),
-                    idx_base,
-                    x_base,
-                    row_start,
-                    rows: shard.n_rows(),
-                    nnz: shard.nnz() as u64,
                     row_of,
-                    local_y: vec![0.0; shard.n_rows()],
+                    local_y: vec![0.0; slot.rows],
                 }
             })
             .collect();
@@ -511,33 +546,66 @@ impl SpmvEngine {
         let rows = csr.rows();
         let collect_backend = self.backend.split(self.backend.kind.channels());
         let mut collect_chan = collect_backend.build(Memory::new(stream_memory_size(rows, rows)));
-        let merge_rows = merge_order(&partition, units);
+        let merge_rows = merge_order(partition, slots.len());
         let mem = collect_chan.memory_mut();
         let collect_idx_base = mem.alloc_array(rows as u64, 4);
         let collect_res_base = mem.alloc_array(rows as u64, 8);
         mem.write_u32_slice(collect_idx_base, &merge_rows);
-        let scatter = ScatterUnit::new(self.sharded_adapter.clone());
-
-        SpmvPlan {
-            exec: self.exec_mode,
-            inner: PlanInner::Sharded(Box::new(ShardedPlan {
-                adapter: self.sharded_adapter.clone(),
-                backend: self.backend.clone(),
-                units,
-                csr: csr.clone(),
-                partition,
-                slots,
-                collect_chan,
-                scatter,
-                collect_idx_base,
-                collect_res_base,
-                merge_rows,
-                merge_bits: vec![0; rows],
-                workers: self.shard_workers,
-                first: Vec::new(),
-                first_scatter: ScatterStats::default(),
-            })),
+        ShardSim {
+            units,
+            collect_chan,
+            scatter: ScatterUnit::new(self.sharded_adapter.clone()),
+            collect_idx_base,
+            collect_res_base,
+            merge_rows,
+            merge_bits: vec![0; rows],
+            first: Vec::new(),
+            first_scatter: ScatterStats::default(),
         }
+    }
+
+    /// Prices one vector of an analytic sharded plan: the per-shard
+    /// gather costs (as [`ShardOut`]s) plus the collection cost. Costs
+    /// do not depend on vector values, so one evaluation covers every
+    /// vector of the plan's life.
+    fn analytic_costs(&self, csr: &Csr, partition: &Partition, slots: &[ShardSlot]) -> ShardedExec {
+        let unit_chan = nmpic_model::ChannelModel::of(&self.backend.split(slots.len()));
+        let collect_chan =
+            nmpic_model::ChannelModel::of(&self.backend.split(self.backend.kind.channels()));
+        // Each shard's replay is independent; fan them across the same
+        // workers the cycle-accurate gather uses.
+        let jobs: Vec<(usize, &ShardSlot)> = slots.iter().enumerate().collect();
+        let adapter = &self.sharded_adapter;
+        let outs = nmpic_sim::pool::parallel_map_jobs(
+            shard_workers(self.shard_workers),
+            jobs,
+            |(i, slot)| {
+                if slot.nnz == 0 {
+                    return ShardOut::default();
+                }
+                let cost = nmpic_model::shard_gather_cost(
+                    adapter,
+                    &unit_chan,
+                    slot.idx_base,
+                    slot.x_base,
+                    partition.csr_shard(csr, i).col_idx(),
+                );
+                ShardOut {
+                    cycles: cost.cycles.round() as u64,
+                    payload_bytes: 8 * slot.nnz,
+                    data_bytes: cost.offchip_bytes,
+                    ..ShardOut::default()
+                }
+            },
+        );
+        let collect = nmpic_model::collect_cost(csr.rows(), &collect_chan);
+        let gather = outs.iter().map(|o| o.cycles).max().unwrap_or(0);
+        let per_vector = IterReport {
+            cycles: gather + collect.cycles.round() as u64,
+            indir_cycles: gather,
+            offchip_bytes: outs.iter().map(|o| o.data_bytes).sum::<u64>() + collect.offchip_bytes,
+        };
+        ShardedExec::Analytic { per_vector, outs }
     }
 }
 
@@ -672,9 +740,19 @@ impl PackPlan {
     }
 }
 
+/// Where a shard unit's memory holds its index array and its copy of
+/// `x`: the index array at 0, then `x`, block-aligned. Analytic pricing
+/// reads the same addresses the simulated unit gathers from.
+fn unit_layout(nnz: usize) -> (u64, u64) {
+    (
+        0,
+        (4 * nnz.max(1) as u64).next_multiple_of(BLOCK_BYTES as u64),
+    )
+}
+
+/// What both execution modes know of one shard.
 struct ShardSlot {
-    chan: Box<dyn ChannelPort>,
-    unit: IndirectStreamUnit,
+    /// Index-array and `x` base addresses in the unit's memory.
     idx_base: u64,
     x_base: u64,
     /// First global row of the shard (merge offset for the worker's
@@ -682,6 +760,13 @@ struct ShardSlot {
     row_start: usize,
     rows: usize,
     nnz: u64,
+}
+
+/// One unit's simulated state, owned by the worker thread that runs
+/// its shard.
+struct UnitSim {
+    chan: Box<dyn ChannelPort>,
+    unit: IndirectStreamUnit,
     /// Stream position → shard-local row.
     row_of: Vec<u32>,
     /// Worker-owned accumulation buffer, reused across runs so the
@@ -689,13 +774,10 @@ struct ShardSlot {
     local_y: Vec<f64>,
 }
 
-struct ShardedPlan {
-    adapter: AdapterConfig,
-    backend: BackendConfig,
-    units: usize,
-    csr: Csr,
-    partition: Partition,
-    slots: Vec<ShardSlot>,
+/// The simulated datapath of a cycle-accurate sharded plan: every
+/// unit's DRAM image and the merged write-back path.
+struct ShardSim {
+    units: Vec<UnitSim>,
     collect_chan: Box<dyn ChannelPort>,
     scatter: ScatterUnit,
     collect_idx_base: u64,
@@ -705,20 +787,44 @@ struct ShardedPlan {
     /// across runs so the solver hot path allocates nothing per
     /// iteration.
     merge_bits: Vec<u64>,
-    /// Worker-thread override for parallel shard execution (`None` =
-    /// the shared pool's `NMPIC_JOBS` policy).
-    workers: Option<usize>,
     /// Per-shard outputs and scatter statistics of the first vector of
-    /// the latest [`ShardedPlan::execute`] — the source of the report's
+    /// the latest execution — the source of the report's
     /// [`ShardDetail`]. Gather timing and DRAM counters do not depend on
     /// vector values, so the first vector stands for the whole batch.
     first: Vec<ShardOut>,
     first_scatter: ScatterStats,
 }
 
+/// How a sharded plan executes, fixed at prepare.
+enum ShardedExec {
+    /// Step every unit and the write-back through simulated DRAM.
+    Cycle(Box<ShardSim>),
+    /// The plan's analytic price, computed once at prepare by
+    /// [`SpmvEngine::analytic_costs`]: the cost of one vector and the
+    /// per-shard outputs behind it. Nothing it depends on can change
+    /// after prepare, so it is never invalidated.
+    Analytic {
+        per_vector: IterReport,
+        outs: Vec<ShardOut>,
+    },
+}
+
+struct ShardedPlan {
+    adapter: AdapterConfig,
+    backend: BackendConfig,
+    units: usize,
+    csr: Csr,
+    partition: Partition,
+    slots: Vec<ShardSlot>,
+    /// Worker-thread override for the per-shard fan-out (`None` = the
+    /// shared pool's `NMPIC_JOBS` policy; see [`shard_workers`]).
+    workers: Option<usize>,
+    exec: ShardedExec,
+}
+
 /// What one shard's worker thread hands back to the merge: everything the
 /// report needs, computed entirely on state the worker owned exclusively
-/// (the result rows themselves land in the slot's `local_y`).
+/// (the result rows themselves land in the unit's `local_y`).
 #[derive(Clone, Copy, Default)]
 struct ShardOut {
     cycles: u64,
@@ -729,89 +835,55 @@ struct ShardOut {
     data_bytes: u64,
 }
 
-impl ShardedPlan {
-    /// Runs one SpMV per vector: every shard's gather (in parallel, on
-    /// worker-owned slots), the merge into `y` in fixed shard order, then
-    /// the merged write-back phase. The cost is the slowest shard's
-    /// gather plus the write-back.
-    fn execute(&mut self, mode: ExecMode, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport {
-        let mut total = IterReport::default();
-        match mode {
-            ExecMode::CycleAccurate => {
-                for (v, (x, y)) in xs.iter().zip(ys.iter_mut()).enumerate() {
-                    let outs = self.gather(x);
-                    let mut gather = 0u64;
-                    let mut offchip = 0u64;
-                    for (slot, out) in self.slots.iter().zip(&outs) {
-                        y[slot.row_start..slot.row_start + slot.rows]
-                            .copy_from_slice(&slot.local_y);
-                        gather = gather.max(out.cycles);
-                        offchip += out.data_bytes;
-                    }
-                    let collect = self.write_back(y);
-                    total.absorb(IterReport {
-                        cycles: gather + collect,
-                        indir_cycles: gather,
-                        offchip_bytes: offchip + self.collect_chan.data_bytes(),
-                    });
-                    if v == 0 {
-                        self.first = outs;
-                        self.first_scatter = self.scatter.stats();
-                    }
-                }
-            }
-            ExecMode::Analytic => {
-                let (outs, collect) = self.analytic_costs();
-                let gather = outs.iter().map(|o| o.cycles).max().unwrap_or(0);
-                let per_vector = IterReport {
-                    cycles: gather + collect.cycles.round() as u64,
-                    indir_cycles: gather,
-                    offchip_bytes: outs.iter().map(|o| o.data_bytes).sum::<u64>()
-                        + collect.offchip_bytes,
-                };
-                for (x, y) in xs.iter().zip(ys.iter_mut()) {
-                    self.csr.spmv_fast_into(x, y);
-                    total.absorb(per_vector);
-                }
-                self.first = outs;
-                self.first_scatter = ScatterStats::default();
-            }
-        }
-        total
-    }
+/// Worker threads for a sharded plan's per-shard fan-out, shared by the
+/// cycle-accurate gather and analytic pricing.
+fn shard_workers(workers: Option<usize>) -> usize {
+    workers.unwrap_or_else(nmpic_sim::pool::parallel_jobs)
+}
 
+impl ShardSim {
     /// The gather phase: every shard's unit simulation runs on its own
-    /// worker thread. Each worker owns its slot exclusively (channel,
+    /// worker thread. Each worker owns its unit exclusively (channel,
     /// unit, and a local accumulation buffer), so the simulations are
     /// bit-for-bit the same as a serial loop whatever the worker count.
-    fn gather(&mut self, x: &[f64]) -> Vec<ShardOut> {
-        let workers = self.workers.unwrap_or_else(nmpic_sim::pool::parallel_jobs);
-        let (csr, partition) = (&self.csr, &self.partition);
-        let jobs: Vec<(usize, &mut ShardSlot)> = self.slots.iter_mut().enumerate().collect();
-        nmpic_sim::pool::parallel_map_jobs(workers, jobs, |(i, slot)| {
-            slot.local_y.fill(0.0);
+    fn gather(
+        &mut self,
+        workers: usize,
+        csr: &Csr,
+        partition: &Partition,
+        slots: &[ShardSlot],
+        x: &[f64],
+    ) -> Vec<ShardOut> {
+        let jobs: Vec<(usize, &ShardSlot, &mut UnitSim)> = slots
+            .iter()
+            .zip(self.units.iter_mut())
+            .enumerate()
+            .map(|(i, (slot, sim))| (i, slot, sim))
+            .collect();
+        nmpic_sim::pool::parallel_map_jobs(workers, jobs, |(i, slot, sim)| {
+            sim.local_y.fill(0.0);
             if slot.nnz == 0 {
                 return ShardOut::default();
             }
-            slot.chan.reset_run_state();
-            slot.chan.memory_mut().write_f64_slice(slot.x_base, x);
-            slot.unit.reset();
+            sim.chan.reset_run_state();
+            sim.chan.memory_mut().write_f64_slice(slot.x_base, x);
+            sim.unit.reset();
             let shard = partition.csr_shard(csr, i);
             let (cycles, stats, dram) = exec_shard_gather(
-                &mut *slot.chan,
-                &mut slot.unit,
+                &mut *sim.chan,
+                &mut sim.unit,
                 slot.idx_base,
                 slot.x_base,
                 shard.values(),
-                &slot.row_of,
-                &mut slot.local_y,
+                &sim.row_of,
+                &mut sim.local_y,
             );
             ShardOut {
                 cycles,
                 payload_bytes: stats.payload_bytes,
                 stats,
                 dram,
-                data_bytes: slot.chan.data_bytes(),
+                data_bytes: sim.chan.data_bytes(),
             }
         })
     }
@@ -831,7 +903,7 @@ impl ShardedPlan {
             self.collect_idx_base,
             self.collect_res_base,
             &self.merge_bits,
-            self.csr.rows(),
+            y.len(),
         )
     }
 
@@ -843,62 +915,76 @@ impl ShardedPlan {
             .zip(y)
             .all(|(r, v)| mem.read_u64(self.collect_res_base + 8 * r) == v.to_bits())
     }
+}
 
-    /// Analytic per-shard gather costs (as [`ShardOut`]s) and the
-    /// collection cost of one vector. Costs do not depend on vector
-    /// values, so one evaluation covers every vector of a call.
-    fn analytic_costs(&self) -> (Vec<ShardOut>, nmpic_model::AnalyticCost) {
-        let unit_chan = nmpic_model::ChannelModel::of(&self.backend.split(self.units));
-        let collect_chan =
-            nmpic_model::ChannelModel::of(&self.backend.split(self.backend.kind.channels()));
-        // Each shard's replay is independent; fan them across the work
-        // pool (this is the analytic path's dominant cost on large
-        // matrices).
-        let jobs: Vec<(usize, u64, u64, u64)> = self
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(i, slot)| (i, slot.nnz, slot.idx_base, slot.x_base))
-            .collect();
-        let workers = nmpic_sim::pool::parallel_jobs();
-        // Capture only plain data: the plan also owns channel ports, which
-        // are not Sync.
-        let (partition, csr, adapter) = (&self.partition, &self.csr, &self.adapter);
-        let outs =
-            nmpic_sim::pool::parallel_map_jobs(workers, jobs, |(i, nnz, idx_base, x_base)| {
-                if nnz == 0 {
-                    return ShardOut::default();
+impl ShardedPlan {
+    /// Runs one SpMV per vector. Cycle-accurate: every shard's gather
+    /// (in parallel, on worker-owned units), the merge into `y` in fixed
+    /// shard order, then the merged write-back phase; the cost is the
+    /// slowest shard's gather plus the write-back. Analytic: the native
+    /// kernel, plus the price computed at prepare — the cost does not
+    /// depend on vector values, so one evaluation covers every vector
+    /// of the plan's life.
+    fn execute(&mut self, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport {
+        let mut total = IterReport::default();
+        let workers = shard_workers(self.workers);
+        match &mut self.exec {
+            ShardedExec::Cycle(sim) => {
+                for (v, (x, y)) in xs.iter().zip(ys.iter_mut()).enumerate() {
+                    let outs = sim.gather(workers, &self.csr, &self.partition, &self.slots, x);
+                    let mut gather = 0u64;
+                    let mut offchip = 0u64;
+                    for ((slot, unit), out) in self.slots.iter().zip(&sim.units).zip(&outs) {
+                        y[slot.row_start..slot.row_start + slot.rows]
+                            .copy_from_slice(&unit.local_y);
+                        gather = gather.max(out.cycles);
+                        offchip += out.data_bytes;
+                    }
+                    let collect = sim.write_back(y);
+                    total.absorb(IterReport {
+                        cycles: gather + collect,
+                        indir_cycles: gather,
+                        offchip_bytes: offchip + sim.collect_chan.data_bytes(),
+                    });
+                    if v == 0 {
+                        sim.first = outs;
+                        sim.first_scatter = sim.scatter.stats();
+                    }
                 }
-                let shard = partition.csr_shard(csr, i);
-                let cost = nmpic_model::shard_gather_cost(
-                    adapter,
-                    &unit_chan,
-                    idx_base,
-                    x_base,
-                    shard.col_idx(),
-                );
-                ShardOut {
-                    cycles: cost.cycles.round() as u64,
-                    payload_bytes: 8 * nnz,
-                    data_bytes: cost.offchip_bytes,
-                    ..ShardOut::default()
+            }
+            ShardedExec::Analytic { per_vector, .. } => {
+                for (x, y) in xs.iter().zip(ys.iter_mut()) {
+                    self.csr.spmv_fast_into(x, y);
+                    total.absorb(*per_vector);
                 }
-            });
-        (
-            outs,
-            nmpic_model::collect_cost(self.csr.rows(), &collect_chan),
-        )
+            }
+        }
+        total
+    }
+
+    /// `true` iff the latest cycle-accurate write-back left exactly the
+    /// bits of `y` in DRAM; an analytic plan writes nothing back.
+    fn written_back(&self, y: &[f64]) -> bool {
+        match &self.exec {
+            ShardedExec::Cycle(sim) => sim.written_back(y),
+            ShardedExec::Analytic { .. } => false,
+        }
     }
 
     /// The multi-unit detail of a run whose summed cost is `cost` over
-    /// `vectors` vectors, with per-shard rows from the first vector.
+    /// `vectors` vectors, with per-shard rows from the first vector (or
+    /// the analytic price).
     fn detail(&self, cost: IterReport, vectors: usize) -> ShardDetail {
+        let (outs, scatter) = match &self.exec {
+            ShardedExec::Cycle(sim) => (&sim.first, sim.first_scatter),
+            ShardedExec::Analytic { outs, .. } => (outs, ScatterStats::default()),
+        };
         let mut cycle_ext = Extrema::new();
         let mut bus_ext = Extrema::new();
         let mut dram: Option<HbmStats> = None;
         let mut payload_bytes = 0u64;
         let mut per_shard = Vec::with_capacity(self.slots.len());
-        for (i, (slot, out)) in self.slots.iter().zip(&self.first).enumerate() {
+        for (i, (slot, out)) in self.slots.iter().zip(outs).enumerate() {
             cycle_ext.add(out.cycles as f64);
             if let Some(d) = out.dram {
                 bus_ext.add(d.bus_busy_cycles as f64);
@@ -932,7 +1018,7 @@ impl ShardedPlan {
             nnz_imbalance: self.partition.nnz_imbalance(),
             cycle_imbalance: cycle_ext.imbalance(),
             bus_imbalance: bus_ext.imbalance(),
-            scatter: self.first_scatter,
+            scatter,
             dram,
             per_shard,
         }
@@ -951,7 +1037,7 @@ impl PlanInner {
         match self {
             PlanInner::Base(p) => p.execute(mode, xs, ys),
             PlanInner::Pack(p) => p.execute(mode, xs, ys),
-            PlanInner::Sharded(p) => p.execute(mode, xs, ys),
+            PlanInner::Sharded(p) => p.execute(xs, ys),
         }
     }
 }
@@ -1247,39 +1333,39 @@ mod tests {
 
     /// The tentpole guarantee of the parallel shard executor: any worker
     /// count produces the exact serial result — same bytes, same cycle
-    /// and traffic accounting, same per-shard detail.
+    /// and traffic accounting, same per-shard detail — in both modes
+    /// (analytic pricing fans out over the same workers as the gather).
     #[test]
     fn parallel_shard_execution_is_byte_identical_to_serial() {
         let csr = banded_fem(512, 8, 24, 11);
         let x = x_for(&csr);
-        let mut reference: Option<RunReport> = None;
-        for workers in [1usize, 2, 4, 8] {
-            let engine = SpmvEngine::builder()
-                .backend(BackendConfig::interleaved(4))
-                .system(SystemKind::Sharded {
-                    units: 4,
-                    strategy: PartitionStrategy::ByNnz,
-                })
-                .shard_workers(workers)
-                .build();
-            let mut plan = engine.prepare(&csr);
-            let r = plan.run(&x);
-            assert!(r.verified, "{workers} workers: golden mismatch");
-            match &reference {
-                None => reference = Some(r),
-                Some(serial) => {
-                    assert_eq!(r.y_bits(), serial.y_bits(), "{workers} workers");
-                    assert_eq!(r.cycles, serial.cycles, "{workers} workers");
-                    assert_eq!(r.offchip_bytes, serial.offchip_bytes, "{workers} workers");
-                    let (d, ds) = (
-                        r.shards().expect("sharded"),
-                        serial.shards().expect("sharded"),
-                    );
-                    assert_eq!(d.gather_cycles, ds.gather_cycles);
-                    assert_eq!(d.collect_cycles, ds.collect_cycles);
-                    for (a, b) in d.per_shard.iter().zip(&ds.per_shard) {
-                        assert_eq!(a.cycles, b.cycles, "shard {} drifted", a.shard);
-                        assert_eq!(a.nnz, b.nnz);
+        for mode in [ExecMode::CycleAccurate, ExecMode::Analytic] {
+            let mut reference: Option<RunReport> = None;
+            for workers in [1usize, 2, 4, 8] {
+                let engine = SpmvEngine::builder()
+                    .backend(BackendConfig::interleaved(4))
+                    .system(SystemKind::Sharded {
+                        units: 4,
+                        strategy: PartitionStrategy::ByNnz,
+                    })
+                    .exec_mode(mode)
+                    .shard_workers(workers)
+                    .build();
+                let mut plan = engine.prepare(&csr);
+                let r = plan.run(&x);
+                let at = format!("{mode}, {workers} workers");
+                assert!(r.verified, "{at}: golden mismatch");
+                match &reference {
+                    None => reference = Some(r),
+                    Some(serial) => {
+                        assert_eq!(r.y_bits(), serial.y_bits(), "{at}");
+                        assert_eq!(r.cycles, serial.cycles, "{at}");
+                        assert_eq!(r.offchip_bytes, serial.offchip_bytes, "{at}");
+                        assert_eq!(
+                            format!("{:?}", r.shards().expect("sharded")),
+                            format!("{:?}", serial.shards().expect("sharded")),
+                            "{at}: per-shard detail drifted"
+                        );
                     }
                 }
             }

@@ -15,7 +15,9 @@
 #               solver_convergence at NMPIC_QUICK=1, then gate the JSON
 #               results on zero rows / NaN values (plus zero iterations /
 #               non-convergence for the solver, and lost tickets /
-#               unbounded retention / zero p99 for the service)
+#               unbounded retention / zero p99 for the service), then
+#               one 1-second perfbench run per workload, which must exit
+#               0 and report "correct":true (no timing gate)
 #   doc         rustdoc with broken intra-doc links as errors
 #
 # Usage: scripts/ci-local.sh [lint|test|bench|doc]...  (default: all)
@@ -65,6 +67,13 @@ run_bench() {
     NMPIC_QUICK=1 cargo run --release -p nmpic-bench --bin analytic_validation
     step "bench-smoke: gating results"
     ./scripts/check-results.sh results/scaling_units.json results/scaling_channels.json results/batched_spmv.json results/service_throughput.json results/service_soak.json results/solver_convergence.json results/analytic_validation.json
+    step "bench-smoke: perfbench (every workload, 1 s, correct results)"
+    for w in paper_sweep cg_analytic service_mixed; do
+        last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+            --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+        echo "$w: $last"
+        case "$last" in *'"correct":true'*) ;; *) echo "perfbench $w: results not correct" >&2; exit 1 ;; esac
+    done
 }
 
 run_doc() {

@@ -10,7 +10,9 @@
 //!    across every backend × system, with bit-identical result vectors;
 //! 3. a CG solve in analytic mode reproduces the cycle-accurate
 //!    residual trajectory exactly — values come from `spmv_fast`, only
-//!    the cost metrics are modeled.
+//!    the cost metrics are modeled;
+//! 4. a sharded analytic plan prices itself once: every later call
+//!    reports exactly what a fresh plan's first call does.
 
 use nmpic::core::AdapterConfig;
 use nmpic::mem::BackendConfig;
@@ -180,5 +182,69 @@ fn analytic_cg_reproduces_the_cycle_accurate_residual_trajectory() {
             "{}: solve cycles rel err {e:.3} exceeds {PINNED_REL_TOL}",
             cycle.label
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// 4. the sharded analytic price is plan-resident and exact
+// ---------------------------------------------------------------------
+
+#[test]
+fn sharded_analytic_price_is_stored_once_and_exact() {
+    let big = banded_fem(300, 6, 24, 13);
+    // Five rows over eight units: the partition trails empty shards.
+    let tiny = banded_fem(5, 3, 4, 2);
+    for backend in backends() {
+        for units in [1usize, 2, 4, 8] {
+            for a in [&big, &tiny] {
+                let system = SystemKind::Sharded {
+                    units,
+                    strategy: PartitionStrategy::ByNnz,
+                };
+                let point = format!("{units} units, {} rows, {}", a.rows(), backend.label());
+                let xs: Vec<Vec<f64>> = (0..3)
+                    .map(|k| (0..a.cols()).map(|i| golden_x(i + 7 * k)).collect())
+                    .collect();
+                let fresh = |x: &[f64]| {
+                    let mut y = vec![0.0; a.rows()];
+                    plan_for(&system, &backend, ExecMode::Analytic, a).run_into(x, &mut y)
+                };
+                let want = fresh(&xs[0]);
+                assert!(want.cycles > 0, "{point}: empty price");
+                let mut plan = plan_for(&system, &backend, ExecMode::Analytic, a);
+                let mut y = vec![0.0; a.rows()];
+                for x in &xs {
+                    assert_eq!(plan.run_into(x, &mut y), want, "{point}: run_into");
+                    assert_eq!(bits(&y), bits(&a.spmv(x)), "{point}: run_into values");
+                    assert_eq!(fresh(x), want, "{point}: price depends on x");
+                }
+                let one = plan.run(&xs[0]);
+                let fresh_one = plan_for(&system, &backend, ExecMode::Analytic, a).run(&xs[0]);
+                assert_eq!(
+                    (one.cycles, one.indir_cycles, one.offchip_bytes),
+                    (want.cycles, want.indir_cycles, want.offchip_bytes),
+                    "{point}: run"
+                );
+                assert_eq!(
+                    format!("{:?}", one.shards()),
+                    format!("{:?}", fresh_one.shards()),
+                    "{point}: ShardDetail of a reused plan"
+                );
+                let batch = plan.run_batch(&xs);
+                assert!(batch.verified, "{point}: batch unverified");
+                assert_eq!(
+                    (batch.cycles, batch.indir_cycles, batch.offchip_bytes),
+                    (
+                        3 * want.cycles,
+                        3 * want.indir_cycles,
+                        3 * want.offchip_bytes
+                    ),
+                    "{point}: run_batch"
+                );
+                for (x, y) in xs.iter().zip(&batch.ys) {
+                    assert_eq!(bits(y), bits(&a.spmv(x)), "{point}: batch values");
+                }
+            }
+        }
     }
 }
